@@ -54,9 +54,9 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # The first gradient is kept as is; later ones are added out of place,
+        # so an array handed to several parents is never changed under them.
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the graph."""
@@ -313,7 +313,24 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
     def bw(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
+            if (idx[1:] > idx[:-1]).all():
+                acc[idx] = g  # strictly increasing indices are unique
+            else:
+                np.add.at(acc, idx, g)
+            a._accumulate(acc)
+
+    return _make(data, (a,), bw)
+
+
+def column(a, i: int) -> Tensor:
+    """Column i of a 2-D tensor as an (N, 1) tensor."""
+    a = as_tensor(a)
+    data = a.data[:, i:i + 1]
+
+    def bw(g):
+        if a.requires_grad:
+            acc = np.zeros_like(a.data)
+            acc[:, i:i + 1] = g
             a._accumulate(acc)
 
     return _make(data, (a,), bw)

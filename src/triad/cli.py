@@ -19,7 +19,15 @@ from .model import Model
 from .provider import DatasetFolderProvider, DatasetIOError, save_dataset
 from .scoring import ShapeMismatchError
 from .synthdata import LabeledSample, gen_dataset
-from .tmf import canonical_json, load_checkpoint, read_tensor, save_checkpoint, write_pgm, write_tensor
+from .tmf import (
+    TmfFormatError,
+    canonical_json,
+    load_checkpoint,
+    read_tensor,
+    save_checkpoint,
+    write_pgm,
+    write_tensor,
+)
 from .trainer import run_gradcheck, train
 
 EXIT_OK = 0
@@ -136,6 +144,10 @@ def cmd_infer(args) -> int:
         print(f"error: cannot read sample: {exc}", file=sys.stderr)
         return EXIT_IO
     class_name = args.class_name or cfg.data.classes[0]
+    if class_name not in cfg.data.classes:
+        print(f"error: class {class_name!r} absent from the checkpoint's "
+              f"configured class list", file=sys.stderr)
+        return EXIT_VALIDATION
     if f_rgb.shape[-1] != cfg.dims.d_rgb or f_3d.shape[-1] != cfg.dims.d_3d:
         print(f"error: sample widths ({f_rgb.shape[-1]}, {f_3d.shape[-1]}) do not "
               f"match checkpoint dims ({cfg.dims.d_rgb}, {cfg.dims.d_3d})",
@@ -225,7 +237,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DatasetIOError, FileNotFoundError) as exc:
+    except (DatasetIOError, FileNotFoundError, TmfFormatError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -6,8 +6,17 @@ import numpy as np
 
 from .metrics import BinaryLabeledScores, auroc, aupro, pixel_auroc
 from .model import Model
-from .oracles import auroc_pair_counting, aupro_exhaustive
-from .scoring import FusionWeights, fuse, image_score, psi_3d, psi_rgb, psi_text, zero_invalid
+from .oracles import auroc_pair_counting, aupro_exhaustive, pro_points_exhaustive
+from .scoring import (
+    FusionWeights,
+    ShapeMismatchError,
+    fuse,
+    image_score,
+    psi_3d,
+    psi_rgb,
+    psi_text,
+    zero_invalid,
+)
 from .synthdata import LabeledSample
 
 
@@ -18,7 +27,12 @@ class OracleMismatchError(AssertionError):
 def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
                anchor: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Final anomaly map (invalid pixels zeroed) and image score for one sample."""
-    h, w = sample.mask.shape
+    grid = sample.mask.shape
+    if len(grid) != 2 or sample.f_rgb.shape[:-1] != grid or sample.f_3d.shape[:-1] != grid:
+        raise ShapeMismatchError(
+            f"feature grids {sample.f_rgb.shape[:-1]} and {sample.f_3d.shape[:-1]} "
+            f"do not match the mask grid {grid}")
+    h, w = grid
     feats = model.forward_sample(sample.f_rgb, sample.f_3d)
     if anchor is None:
         anchor = model.text_anchor(sample.class_name, mode="eval").data
@@ -79,8 +93,11 @@ def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits,
     if abs(entry["p_auroc"] - ref_p) > 1e-9:
         raise OracleMismatchError(
             f"p_auroc {entry['p_auroc']} != pair-counting oracle {ref_p}")
+    # one sweep per class, up to the largest limit, serves every limit
+    points = (pro_points_exhaustive(maps, gts, valids, max(fpr_limits))
+              if fpr_limits else [])
     for lim in fpr_limits:
-        ref = aupro_exhaustive(maps, gts, valids, lim)
+        ref = aupro_exhaustive(maps, gts, valids, lim, points)
         if abs(entry[f"aupro@{lim:g}"] - ref) > tol:
             raise OracleMismatchError(
                 f"aupro@{lim:g} {entry[f'aupro@{lim:g}']} != oracle {ref}")

@@ -15,9 +15,9 @@ from .autograd import (
     as_tensor,
     cosine_rows,
     gather_rows,
-    mean,
     mul,
     sub,
+    tensor_sum,
 )
 
 log = logging.getLogger(__name__)
@@ -38,13 +38,16 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def masked_cosine_loss(pred, target, mask: np.ndarray) -> Tensor:
-    """Mean of (1 - cosine similarity) over valid patches.
+def masked_cosine_loss(pred, target, mask: np.ndarray,
+                       row_weights: np.ndarray | None = None) -> Tensor:
+    """Weighted sum of (1 - cosine similarity) over valid patches.
 
     `pred` and `target` are (N, D) patch matrices; `mask` is a flat boolean
-    array of length N.  Invalid patches are dropped before any arithmetic, so
-    their feature values can never influence the value or its gradients.
-    Returns 0 (with a warning) when no patch is valid.
+    array of length N.  `row_weights` (length N) weighs each row's term; by
+    default every valid row weighs 1/n_valid, which gives the mean.  Invalid
+    patches are dropped before any arithmetic, so their feature values can
+    never influence the value or its gradients.  Returns 0 (with a warning)
+    when no patch is valid.
     """
     pred, target = as_tensor(pred), as_tensor(target)
     if pred.data.shape != target.data.shape:
@@ -58,34 +61,47 @@ def masked_cosine_loss(pred, target, mask: np.ndarray) -> Tensor:
     if idx.size == 0:
         log.warning("masked_cosine_loss: no valid patch, contributing 0")
         return Tensor(0.0)
+    weights = (np.full(idx.size, 1.0 / idx.size) if row_weights is None
+               else np.asarray(row_weights, dtype=np.float64)[idx])
     sims = cosine_rows(gather_rows(pred, idx), gather_rows(target, idx))
-    return mean(sub(1.0, sims))
+    return tensor_sum(mul(sub(1.0, sims), weights))
+
+
+def sample_row_weights(masks: list[np.ndarray]) -> np.ndarray:
+    """Row weights 1/(n_valid_s * B) for the stacked patch rows of B samples.
+
+    With them, one weighted sum over the stacked rows equals the mean over
+    the samples of each sample's mean over its valid patches.  A sample with
+    no valid patch still counts in the 1/B mean, contributing 0 (with a
+    warning).
+    """
+    weights = []
+    for i, m in enumerate(masks):
+        n_valid = int(np.count_nonzero(m))
+        if n_valid == 0:
+            log.warning("sample %d of the batch: no valid patch, contributing 0", i)
+        weights.append(np.full(np.size(m), 1.0 / (max(n_valid, 1) * len(masks))))
+    return np.concatenate(weights)
 
 
 def visual_loss(f_rgb, f_3d, f_rgb_to_3d, f_3d_to_rgb, mask: np.ndarray,
-                w: LossWeights) -> Tensor:
+                w: LossWeights, row_weights: np.ndarray | None = None) -> Tensor:
     """Bidirectional visual-geometric consistency term."""
-    return add(mul(masked_cosine_loss(f_rgb_to_3d, f_3d, mask), w.lambda_v2g),
-               mul(masked_cosine_loss(f_3d_to_rgb, f_rgb, mask), w.lambda_g2v))
+    return add(mul(masked_cosine_loss(f_rgb_to_3d, f_3d, mask, row_weights), w.lambda_v2g),
+               mul(masked_cosine_loss(f_3d_to_rgb, f_rgb, mask, row_weights), w.lambda_g2v))
 
 
-def text_loss(f_rgb_to_text, f_3d_to_text, text_anchor, mask: np.ndarray,
-              w: LossWeights) -> Tensor:
-    """Visual-linguistic alignment: pull projected patches toward the class anchor.
+def text_loss(f_rgb_to_text, f_3d_to_text, text_anchors, mask: np.ndarray,
+              w: LossWeights, row_weights: np.ndarray | None = None) -> Tensor:
+    """Visual-linguistic alignment: pull projected patches toward their class anchor.
 
-    The single 1 x D_text anchor is broadcast to every valid patch; the same
-    anchor serves both the RGB-side and 3D-side terms.
+    `text_anchors` holds one row per patch: the anchor of the patch's class.
+    The same rows serve both the RGB-side and 3D-side terms.
     """
-    f_rgb_to_text = as_tensor(f_rgb_to_text)
-    anchor_rgb = _broadcast_anchor(text_anchor, f_rgb_to_text.data.shape[0])
-    anchor_3d = _broadcast_anchor(text_anchor, as_tensor(f_3d_to_text).data.shape[0])
-    return add(mul(masked_cosine_loss(anchor_rgb, f_rgb_to_text, mask), w.lambda_v2t),
-               mul(masked_cosine_loss(anchor_3d, f_3d_to_text, mask), w.lambda_g2t))
-
-
-def _broadcast_anchor(anchor, n: int) -> Tensor:
-    anchor = as_tensor(anchor)
-    return gather_rows(anchor, np.zeros(n, dtype=np.intp))
+    return add(mul(masked_cosine_loss(text_anchors, f_rgb_to_text, mask, row_weights),
+                   w.lambda_v2t),
+               mul(masked_cosine_loss(text_anchors, f_3d_to_text, mask, row_weights),
+                   w.lambda_g2t))
 
 
 def total_loss(l_vis, l_text) -> Tensor:

@@ -3,7 +3,7 @@
 The head owns a single ParameterStore so that checkpointing, optimization,
 and gradient checking can treat every trainable tensor uniformly.  Feature
 grids enter as (H, W, D) numpy arrays and are flattened to (H*W, D) patch
-matrices internally.
+matrices internally; training passes a whole batch's stacked patch rows.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class Model:
         self.mapper_kind = mapper_kind
         self.catalog = catalog if catalog is not None else PromptCatalog()
         self.embedder = HashingEmbedder(dims.d_text, seed=embedder_seed)
+        # frozen prompt embeddings per class name, filled on first use
+        self._prompt_embeddings: dict[str, np.ndarray] = {}
         self.store = ParameterStore()
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
         if mapper_kind == MAPPER_GACM:
@@ -76,11 +78,12 @@ class Model:
                        f_3d_grid: np.ndarray) -> dict[str, Tensor]:
         """Map one sample's grids into every target modality.
 
+        The inputs are (H, W, D) grids, or any arrays whose last axis is the
+        feature width, such as the (N, D) stacked patch rows of a batch.
         Returns flattened (H*W, D) tensors keyed by mapping name.
         """
-        h, w, d_rgb = f_rgb_grid.shape
-        f_rgb = Tensor(f_rgb_grid.reshape(h * w, d_rgb))
-        f_3d = Tensor(f_3d_grid.reshape(h * w, -1))
+        f_rgb = Tensor(f_rgb_grid.reshape(-1, f_rgb_grid.shape[-1]))
+        f_3d = Tensor(f_3d_grid.reshape(-1, f_3d_grid.shape[-1]))
         return {
             "f_rgb": f_rgb,
             "f_3d": f_3d,
@@ -90,12 +93,18 @@ class Model:
             "f_3d_to_text": project(f_3d, self.proj_3d_to_text),
         }
 
+    def text_anchors(self, class_names: list[str], mode: str = "eval",
+                     dropout_rng: np.random.Generator | None = None) -> Tensor:
+        """(C, D_text) class-conditioned anchors, one row per class, from one pass."""
+        return octa_forward(class_names, self.catalog, self.embedder,
+                            self.moe, self.proto, mode=mode,
+                            dropout_rng=dropout_rng,
+                            embedding_cache=self._prompt_embeddings)
+
     def text_anchor(self, class_name: str, mode: str = "eval",
                     dropout_rng: np.random.Generator | None = None) -> Tensor:
         """Class-conditioned 1 x D_text anchor (shared by both visual sides)."""
-        return octa_forward(class_name, self.catalog, self.embedder,
-                            self.moe, self.proto, mode=mode,
-                            dropout_rng=dropout_rng)
+        return self.text_anchors([class_name], mode=mode, dropout_rng=dropout_rng)
 
     def parameter_names(self) -> list[str]:
         return self.store.names()

@@ -4,11 +4,13 @@ Builds the normal-state prompt ensemble for a class, embeds it, enhances the
 embeddings with a sparse top-k mixture of experts, distills them into one
 anchor vector via prototype cross-attention, and refines that anchor with an
 MLP + FFN block.  The same anchor serves the RGB-side and 3D-side alignment.
+Several classes go through one pass together, one anchor row per class.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ from .autograd import (
     ParameterStore,
     Tensor,
     add,
-    gather_rows,
+    column,
     layer_norm,
     linear_forward,
     matmul,
@@ -134,15 +136,9 @@ def moe_forward(t_embed, p: MoeParams) -> Tensor:
     for i, expert in enumerate(p.experts):
         if not selected[:, i].any():
             continue  # zero weight everywhere: skipping keeps output bit-identical
-        contrib = mul(project(t, expert), gather_cols(weights, i))
+        contrib = mul(project(t, expert), column(weights, i))
         out = contrib if out is None else add(out, contrib)
     return out
-
-
-def gather_cols(w, i: int) -> Tensor:
-    """Column i of a 2-D tensor as an (N, 1) tensor."""
-    cols = transpose(w)
-    return transpose(gather_rows(cols, np.array([i])))
 
 
 class PrototypeParams:
@@ -169,18 +165,32 @@ class PrototypeParams:
         self.final_ln_shift = store.register(f"{prefix}.final_ln_shift", np.zeros(d_text))
 
 
-def prototype_attention(t_hat, p: PrototypeParams) -> Tensor:
-    """Single-query cross-attention: the prototype attends over enhanced text rows."""
+def prototype_attention(t_hat, p: PrototypeParams, n_classes: int = 1) -> Tensor:
+    """Prototype cross-attention over enhanced text rows, one output row per class.
+
+    The rows of `t_hat` are `n_classes` equal blocks, one per class.  A block
+    mask lets each class's copy of the prototype query attend only over its
+    own block: masked scores get an exactly-zero weight.
+    """
     t = t_hat if isinstance(t_hat, Tensor) else Tensor(t_hat)
+    n = t.data.shape[0]
+    if n_classes < 1 or n % n_classes:
+        raise ValueError(f"{n} text rows do not split into {n_classes} equal blocks")
     q = matmul(p.prototype, p.wq)
     scores = mul(matmul(q, transpose(matmul(t, p.wk))), 1.0 / p.scale)
-    attn = softmax_row(scores)
+    block = np.arange(n) // (n // n_classes)
+    outside = block[None, :] != np.arange(n_classes)[:, None]
+    attn = softmax_row(add(scores, Tensor(np.where(outside, -1e30, 0.0))))
     return matmul(attn, matmul(t, p.wv))
 
 
 def octa_refine(f_p, p: PrototypeParams, mode: str = "eval",
                 dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """MLP(P + F_p), then LN over a dropout-regularized FFN residual."""
+    """MLP(P + F_p), then LN over a dropout-regularized FFN residual, per row.
+
+    The dropout mask of a (C, D_text) input is one (C, D_text) draw, so C
+    classes consume the generator exactly as C one-row calls in row order.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     f_hat = project(add(p.prototype, f_p), p.post_mlp)
@@ -194,15 +204,23 @@ def octa_refine(f_p, p: PrototypeParams, mode: str = "eval",
     return layer_norm(add(f_hat, ffn_out), p.final_ln_gain, p.final_ln_shift)
 
 
-def octa_forward(class_name: str, catalog: PromptCatalog | None, embedder,
-                 moe: MoeParams, proto: PrototypeParams, mode: str = "eval",
-                 dropout_rng: np.random.Generator | None = None) -> Tensor:
+def octa_forward(class_names: str | Sequence[str], catalog: PromptCatalog | None,
+                 embedder, moe: MoeParams, proto: PrototypeParams, mode: str = "eval",
+                 dropout_rng: np.random.Generator | None = None,
+                 embedding_cache: dict[str, np.ndarray] | None = None) -> Tensor:
     """Full adaptor: prompts -> embeddings -> MoE -> attention -> refinement.
 
-    The returned 1 x D_text anchor is shared by the RGB-side and 3D-side terms.
+    Returns one D_text anchor row per class, in the order given (a single
+    class name gives a 1 x D_text anchor).  The anchor is shared by the
+    RGB-side and 3D-side terms.  The prompts of every class go through the
+    MoE together.  `embedding_cache`, when given, maps each class name to its
+    frozen prompt embeddings and is filled on first use.
     """
-    sentences = build_prompts(class_name, catalog)
-    t_embed = Tensor(embedder.embed(sentences))
-    t_hat = moe_forward(t_embed, moe)
-    f_p = prototype_attention(t_hat, proto)
+    names = [class_names] if isinstance(class_names, str) else list(class_names)
+    cache = {} if embedding_cache is None else embedding_cache
+    for name in names:
+        if name not in cache:
+            cache[name] = embedder.embed(build_prompts(name, catalog))
+    t_hat = moe_forward(Tensor(np.concatenate([cache[n] for n in names])), moe)
+    f_p = prototype_attention(t_hat, proto, n_classes=len(names))
     return octa_refine(f_p, proto, mode=mode, dropout_rng=dropout_rng)

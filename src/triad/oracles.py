@@ -33,10 +33,15 @@ def auroc_pair_counting(scores, labels) -> float:
     return total / (pos.size * neg.size)
 
 
-def aupro_exhaustive(maps, gt_masks, valid, fpr_limit: float) -> float:
-    """Threshold-by-threshold AUPRO with naive trapezoid integration."""
-    if not 0.0 < fpr_limit <= 1.0:
-        raise MetricError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
+def pro_points_exhaustive(maps, gt_masks, valid,
+                          fpr_stop: float = 1.0) -> list[tuple[float, float]]:
+    """(FPR, PRO) points threshold by threshold, strictest first, from (0, 0).
+
+    Every distinct valid score is a threshold, and each one rebuilds the
+    prediction masks from scratch.  The sweep ends at the first point whose
+    FPR reaches `fpr_stop`: integrating up to any limit <= `fpr_stop` never
+    reads a later point.
+    """
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     gt_masks = [np.asarray(g, dtype=bool) for g in gt_masks]
     valid = [np.asarray(v, dtype=bool) for v in valid]
@@ -62,6 +67,23 @@ def aupro_exhaustive(maps, gt_masks, valid, fpr_limit: float) -> float:
         pro = float(np.mean([(preds[i] & region).sum() / region.sum()
                              for i, region in regions]))
         points.append((fp / neg_total, pro))
+        if points[-1][0] >= fpr_stop:
+            break
+    return points
+
+
+def aupro_exhaustive(maps, gt_masks, valid, fpr_limit: float,
+                     points: list[tuple[float, float]] | None = None) -> float:
+    """Threshold-by-threshold AUPRO with naive trapezoid integration.
+
+    `points` may pass a sweep of the same maps from
+    :func:`pro_points_exhaustive` that reaches at least `fpr_limit`, so that
+    several limits share one sweep; by default this call sweeps.
+    """
+    if not 0.0 < fpr_limit <= 1.0:
+        raise MetricError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
+    if points is None:
+        points = pro_points_exhaustive(maps, gt_masks, valid, fpr_limit)
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         if x0 >= fpr_limit:

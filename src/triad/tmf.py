@@ -45,6 +45,8 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one TMF1 block; returns (array, offset past the block)."""
     if buf[offset:offset + 4] != MAGIC:
         raise TmfFormatError("bad magic: not a TMF1 block")
+    if len(buf) < offset + 6 or len(buf) < offset + 6 + 4 * buf[offset + 5]:
+        raise TmfFormatError("truncated TMF1 header")
     code, rank = struct.unpack_from("<BB", buf, offset + 4)
     if code not in _DTYPES:
         raise TmfFormatError(f"unknown dtype code {code}")
@@ -60,7 +62,10 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 
 def read_tensor(path) -> np.ndarray:
-    arr, _ = tensor_from_bytes(Path(path).read_bytes())
+    try:
+        arr, _ = tensor_from_bytes(Path(path).read_bytes())
+    except TmfFormatError as exc:
+        raise TmfFormatError(f"{path}: {exc}") from None
     return arr
 
 
@@ -103,22 +108,27 @@ def load_checkpoint(path) -> dict:
     """Returns {'arrays': {...}, 'step', 'seed', 'config_hash', 'config', 'dtype'}."""
     buf = Path(path).read_bytes()
     if len(buf) < 4:
-        raise TmfFormatError("truncated checkpoint file")
+        raise TmfFormatError(f"{path}: truncated checkpoint file")
     (hlen,) = struct.unpack_from("<I", buf, 0)
-    header = json.loads(buf[4:4 + hlen].decode())
     base = 4 + hlen
-    arrays: dict[str, np.ndarray] = {}
-    for name in header["names"]:
-        arr, _ = tensor_from_bytes(buf, base + header["offsets"][name])
-        arrays[name] = arr
-    return {
-        "arrays": arrays,
-        "step": header["step"],
-        "seed": header["seed"],
-        "config_hash": header["config_hash"],
-        "config": header["config"],
-        "dtype": header["dtype"],
-    }
+    if base > len(buf):
+        raise TmfFormatError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(buf[4:base].decode())
+        arrays: dict[str, np.ndarray] = {}
+        for name in header["names"]:
+            arr, _ = tensor_from_bytes(buf, base + header["offsets"][name])
+            arrays[name] = arr
+        return {
+            "arrays": arrays,
+            "step": header["step"],
+            "seed": header["seed"],
+            "config_hash": header["config_hash"],
+            "config": header["config"],
+            "dtype": header["dtype"],
+        }
+    except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8 and TMF1 errors
+        raise TmfFormatError(f"{path}: corrupt checkpoint: {exc}") from None
 
 
 def write_pgm(path, values: np.ndarray) -> None:

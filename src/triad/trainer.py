@@ -10,11 +10,11 @@ import numpy as np
 from .autograd import (
     GradCheckReport,
     Tensor,
-    add,
     finite_diff_gradient_check,
+    gather_rows,
     mul,
 )
-from .losses import LossWeights, text_loss, total_loss, visual_loss
+from .losses import LossWeights, sample_row_weights, text_loss, total_loss, visual_loss
 from .model import Model, ModelDims
 from .octa import PromptCatalog
 from .synthdata import LabeledSample
@@ -80,24 +80,28 @@ def batch_loss(model: Model, batch: list[LabeledSample], w: LossWeights,
                mode: str = "train",
                dropout_rng: np.random.Generator | None = None
                ) -> tuple[Tensor, float, float]:
-    """Mean loss over a batch; anchors are computed once per class per batch."""
+    """Mean loss over a batch, built as one graph.
+
+    The patch rows of every sample are stacked, so each module runs once per
+    batch, and the anchors of the batch's classes come from one adaptor pass
+    in sorted class order.  Each patch row then takes its class's anchor row.
+    Row weights 1/(n_valid_s * B) make the weighted sums equal the mean over
+    the samples of each sample's mean over its valid patches.
+    """
     classes = sorted({s.class_name for s in batch})
-    anchors = {c: model.text_anchor(c, mode=mode, dropout_rng=dropout_rng)
-               for c in classes}
-    l_vis_sum: Tensor | None = None
-    l_text_sum: Tensor | None = None
-    for s in batch:
-        feats = model.forward_sample(s.f_rgb, s.f_3d)
-        flat_mask = s.mask.reshape(-1)
-        lv = visual_loss(feats["f_rgb"], feats["f_3d"], feats["f_rgb_to_3d"],
-                         feats["f_3d_to_rgb"], flat_mask, w)
-        lt = text_loss(feats["f_rgb_to_text"], feats["f_3d_to_text"],
-                       anchors[s.class_name], flat_mask, w)
-        l_vis_sum = lv if l_vis_sum is None else add(l_vis_sum, lv)
-        l_text_sum = lt if l_text_sum is None else add(l_text_sum, lt)
-    inv = 1.0 / len(batch)
-    l_vis = mul(l_vis_sum, inv)
-    l_text = mul(l_text_sum, inv)
+    anchors = model.text_anchors(classes, mode=mode, dropout_rng=dropout_rng)
+    feats = model.forward_sample(
+        np.concatenate([s.f_rgb.reshape(-1, s.f_rgb.shape[-1]) for s in batch]),
+        np.concatenate([s.f_3d.reshape(-1, s.f_3d.shape[-1]) for s in batch]))
+    masks = [s.mask.reshape(-1) for s in batch]
+    valid = np.concatenate(masks)
+    weights = sample_row_weights(masks)
+    row_class = np.repeat([classes.index(s.class_name) for s in batch],
+                          [m.size for m in masks])
+    l_vis = visual_loss(feats["f_rgb"], feats["f_3d"], feats["f_rgb_to_3d"],
+                        feats["f_3d_to_rgb"], valid, w, weights)
+    l_text = text_loss(feats["f_rgb_to_text"], feats["f_3d_to_text"],
+                       gather_rows(anchors, row_class), valid, w, weights)
     return total_loss(l_vis, l_text), float(l_vis.data), float(l_text.data)
 
 

@@ -12,6 +12,7 @@ from triad.autograd import (
     ParameterStore,
     Tensor,
     add,
+    column,
     cosine_rows,
     cosine_similarity,
     div,
@@ -196,6 +197,35 @@ def test_gather_rows_scatters_gradients():
     out = gather_rows(a, np.array([0, 0, 2]))
     tensor_sum(out).backward()
     np.testing.assert_array_equal(a.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_gather_rows_unique_and_repeated_indices_agree_with_dense_sum():
+    rng = np.random.default_rng(1)
+    data = rng.standard_normal((5, 3))
+    probe = rng.standard_normal((7, 3))
+    for idx in (np.array([0, 1, 3, 4]), np.array([4, 1, 4, 0, 1, 1, 2])):
+        a = Tensor(data, requires_grad=True)
+        tensor_sum(mul(gather_rows(a, idx), Tensor(probe[:idx.size]))).backward()
+        dense = np.eye(5)[idx].T @ probe[:idx.size]
+        np.testing.assert_allclose(a.grad, dense, rtol=1e-14, atol=1e-15)
+
+
+def test_column_selects_and_scatters():
+    a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = column(a, 1)
+    np.testing.assert_array_equal(out.data, [[1.0], [3.0], [5.0]])
+    tensor_sum(mul(out, Tensor(np.array([[1.0], [2.0], [3.0]])))).backward()
+    np.testing.assert_array_equal(a.grad, [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
+
+
+def test_gradient_shared_by_two_parents_is_not_changed_in_place():
+    # add() hands one gradient array to both operands; a later contribution
+    # to `a` must not alter the gradient already given to `b`
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    tensor_sum(add(add(a, b), a)).backward()
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
 
 
 def test_gradient_accumulates_over_shared_subexpressions():

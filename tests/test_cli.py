@@ -180,3 +180,59 @@ def test_oracle_check_negative_control(tmp_path, data_dir, checkpoint,
     code = main(["eval", "--checkpoint", checkpoint, "--data", data_dir,
                  "--out", str(tmp_path / "r.json"), "--oracle-check"])
     assert code == EXIT_VALIDATION
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err.strip()
+    return len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def _sample_dir(tmp_path, data_dir):
+    """A copy of the first test sample's folder, for corrupting."""
+    src = Path(data_dir) / "samples" / "test-00000"
+    sdir = tmp_path / "sample"
+    sdir.mkdir()
+    for f in src.iterdir():
+        (sdir / f.name).write_bytes(f.read_bytes())
+    return sdir
+
+
+def test_infer_unknown_class_exits_4(tmp_path, data_dir, checkpoint, capsys):
+    sample_dir = str(Path(data_dir) / "samples" / "test-00000")
+    capsys.readouterr()
+    code = main(["infer", "--checkpoint", checkpoint, "--sample", sample_dir,
+                 "--out", str(tmp_path / "m.tmf"), "--class-name", "notaclass"])
+    assert code == EXIT_VALIDATION
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "m.tmf").exists()
+
+
+def test_truncated_checkpoint_exits_3(tmp_path, data_dir, checkpoint, capsys):
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(Path(checkpoint).read_bytes()[:100])
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(cut), "--data", data_dir,
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_IO
+    assert _one_line_error(capsys)
+
+
+def test_truncated_sample_tensor_exits_3(tmp_path, data_dir, checkpoint, capsys):
+    sdir = _sample_dir(tmp_path, data_dir)
+    (sdir / "f_rgb.tmf").write_bytes((sdir / "f_rgb.tmf").read_bytes()[:7])
+    capsys.readouterr()
+    code = main(["infer", "--checkpoint", checkpoint, "--sample", str(sdir),
+                 "--out", str(tmp_path / "m.tmf")])
+    assert code == EXIT_IO
+    assert _one_line_error(capsys)
+
+
+def test_infer_mask_grid_mismatch_exits_4(tmp_path, data_dir, checkpoint, capsys):
+    from triad.tmf import write_tensor
+    sdir = _sample_dir(tmp_path, data_dir)
+    write_tensor(sdir / "mask.tmf", np.ones((4, 4), dtype=np.float32))
+    capsys.readouterr()
+    code = main(["infer", "--checkpoint", checkpoint, "--sample", str(sdir),
+                 "--out", str(tmp_path / "m.tmf")])
+    assert code == EXIT_VALIDATION
+    assert _one_line_error(capsys)

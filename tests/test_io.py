@@ -67,6 +67,13 @@ def test_tensor_truncated_payload_rejected():
         tensor_from_bytes(buf[:-8])
 
 
+def test_tensor_every_truncation_rejected():
+    buf = tensor_bytes(np.ones((2, 3)))
+    for cut in range(len(buf)):
+        with pytest.raises(TmfFormatError):
+            tensor_from_bytes(buf[:cut])
+
+
 def test_tensor_blocks_concatenate():
     a, b = np.ones((2, 2)), np.arange(3.0)
     buf = tensor_bytes(a) + tensor_bytes(b)
@@ -133,6 +140,16 @@ def test_checkpoint_truncated_file(tmp_path):
     p.write_bytes(b"\x01")
     with pytest.raises(TmfFormatError):
         load_checkpoint(p)
+
+
+def test_checkpoint_every_truncation_rejected(tmp_path):
+    full, cut_path = tmp_path / "ck.tmf", tmp_path / "cut.tmf"
+    save_checkpoint(full, _arrays(2), step=1, seed=0, config_hash="0", config={})
+    buf = full.read_bytes()
+    for cut in range(len(buf)):
+        cut_path.write_bytes(buf[:cut])
+        with pytest.raises(TmfFormatError):
+            load_checkpoint(cut_path)
 
 
 # ---------------------------------------------------------------------------

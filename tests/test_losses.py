@@ -115,7 +115,7 @@ def test_visual_loss_perfect_mappings():
 
 
 def test_text_loss_parallel_and_antiparallel():
-    anchor = np.array([[1.0, 0.0, 0.0]])
+    anchor = np.tile([1.0, 0.0, 0.0], (4, 1))  # one anchor row per patch
     par = np.tile([2.0, 0.0, 0.0], (4, 1))
     anti = -par
     mask = _full_mask(4)
@@ -125,20 +125,20 @@ def test_text_loss_parallel_and_antiparallel():
 
 
 def test_text_loss_half_parallel_half_orthogonal():
-    anchor = np.array([[1.0, 0.0]])
+    anchor = np.tile([1.0, 0.0], (4, 1))
     feats = np.array([[3.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
     v = text_loss(feats, feats, anchor, _full_mask(4), LossWeights()).item()
     assert v == pytest.approx(1.0, abs=1e-12)
 
 
 def test_text_loss_uses_one_shared_anchor():
-    # the same 1 x D anchor feeds the RGB-side and 3D-side terms; passing the
+    # the same anchor rows feed the RGB-side and 3D-side terms; passing the
     # rgb-side features on both slots must equal twice the one-sided term
     rng = np.random.default_rng(6)
-    anchor = rng.standard_normal((1, 4))
+    anchor = np.tile(rng.standard_normal((1, 4)), (5, 1))
     feats = rng.standard_normal((5, 4))
     both = text_loss(feats, feats, anchor, _full_mask(5), LossWeights()).item()
-    one = masked_cosine_loss(np.tile(anchor, (5, 1)), feats, _full_mask(5)).item()
+    one = masked_cosine_loss(anchor, feats, _full_mask(5)).item()
     assert both == pytest.approx(2.0 * one, abs=1e-12)
 
 

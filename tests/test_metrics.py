@@ -12,7 +12,7 @@ from triad.metrics import (
     pixel_auroc,
     pro_curve,
 )
-from triad.oracles import aupro_exhaustive, auroc_pair_counting
+from triad.oracles import aupro_exhaustive, auroc_pair_counting, pro_points_exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +217,17 @@ def test_aupro_matches_exhaustive_oracle(seed, limit):
     ref = aupro_exhaustive(maps, gts, vs, fpr_limit=limit)
     assert got == pytest.approx(ref, abs=1e-6)
     assert 0.0 <= got <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exhaustive_sweep_shared_by_limits(seed):
+    # one sweep stopped at the largest limit gives every limit's exact value
+    rng = np.random.default_rng(seed)
+    batch = [_one_sample(rng, h=8, w=9) for _ in range(3)]
+    maps, gts, vs = map(list, zip(*batch))
+    points = pro_points_exhaustive(maps, gts, vs, 0.3)
+    assert points[-1][0] >= 0.3 > points[-2][0]
+    assert len(points) < len(pro_points_exhaustive(maps, gts, vs))
+    for limit in (0.3, 0.01):
+        assert (aupro_exhaustive(maps, gts, vs, limit, points)
+                == aupro_exhaustive(maps, gts, vs, limit))

@@ -1,9 +1,13 @@
 """Tests for the training loop, Adam updates, and the gradient-check entry point."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from triad.losses import LossWeights
+from triad.autograd import Tensor, add, gather_rows, mul
+from triad.config import build_run_config, resolve_config
+from triad.losses import LossWeights, text_loss, visual_loss
 from triad.model import Model, ModelDims
 from triad.synthdata import LabeledSample, SynthConfig, gen_dataset
 from triad.trainer import (
@@ -180,3 +184,140 @@ def test_run_gradcheck_covers_every_parameter_once():
                             dropout_rate=0.0), seed=1)
     report = run_gradcheck(seed=0)
     assert sorted(report.per_parameter_errors) == sorted(model.parameter_names())
+
+
+# ---------------------------------------------------------------------------
+# stacked-batch graph against a per-sample reference
+
+
+def _reference_batch_loss(model, batch, w, mode="eval", dropout_rng=None):
+    """Every module once per sample and the adaptor once per class, sorted.
+
+    Each class draws its own 1 x D_text dropout mask, in sorted class order,
+    and each sample's loss is the mean over its valid patches.
+    """
+    classes = sorted({s.class_name for s in batch})
+    anchors = {c: model.text_anchor(c, mode=mode, dropout_rng=dropout_rng)
+               for c in classes}
+    l_vis = l_text = Tensor(0.0)
+    for s in batch:
+        f = model.forward_sample(s.f_rgb, s.f_3d)
+        mask = s.mask.reshape(-1)
+        rows = gather_rows(anchors[s.class_name], np.zeros(mask.size, dtype=np.intp))
+        l_vis = add(l_vis, visual_loss(f["f_rgb"], f["f_3d"], f["f_rgb_to_3d"],
+                                       f["f_3d_to_rgb"], mask, w))
+        l_text = add(l_text, text_loss(f["f_rgb_to_text"], f["f_3d_to_text"],
+                                       rows, mask, w))
+    return add(mul(l_vis, 1.0 / len(batch)), mul(l_text, 1.0 / len(batch)))
+
+
+def _loss_and_grads(model, build):
+    model.store.zero_grad()
+    loss = build()
+    loss.backward()
+    return loss.item(), {n: (np.zeros_like(p.data) if p.grad is None else p.grad)
+                         for n, p in model.store.items()}
+
+
+def _assert_matches_reference(model, batch, mode="eval", seed=0):
+    w = LossWeights(lambda_v2g=1.0, lambda_g2v=0.5, lambda_v2t=2.0, lambda_g2t=0.75)
+    got, got_g = _loss_and_grads(model, lambda: batch_loss(
+        model, batch, w, mode=mode, dropout_rng=np.random.default_rng(seed))[0])
+    ref, ref_g = _loss_and_grads(model, lambda: _reference_batch_loss(
+        model, batch, w, mode=mode, dropout_rng=np.random.default_rng(seed)))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+    for name, g in ref_g.items():
+        scale = np.abs(g).max()
+        assert np.abs(got_g[name] - g).max() <= 1e-12 * scale, name
+    return ref, ref_g
+
+
+def _mixed_data():
+    cfg = SynthConfig(classes=["bagel", "dowel", "tire"], n_train=3, n_test=2,
+                      height=5, width=6, d_latent=3, d_rgb=SMALL_DIMS.d_rgb,
+                      d_3d=SMALL_DIMS.d_3d)
+    train_samples, _ = gen_dataset(cfg, seed=11)
+    by_class = {}
+    for s in train_samples:
+        by_class.setdefault(s.class_name, []).append(s)
+    # classes out of sorted order, one of them twice
+    return [by_class["tire"][0], by_class["bagel"][0], by_class["tire"][1],
+            by_class["dowel"][0], by_class["bagel"][2]]
+
+
+def _without_valid_patches(s):
+    return LabeledSample(s.class_name, s.f_rgb, s.f_3d, np.zeros_like(s.mask),
+                         s.gt_pixels, s.is_anomalous)
+
+
+def test_stacked_loss_matches_reference_mixed_classes():
+    ref, grads = _assert_matches_reference(_model(seed=8), _mixed_data())
+    assert ref > 0 and all(np.abs(g).max() > 0 for g in grads.values())
+
+
+def test_stacked_loss_matches_reference_one_class():
+    train_samples, _ = _tiny_data()
+    _assert_matches_reference(_model(seed=9), train_samples[:4])
+
+
+def test_stacked_loss_counts_sample_without_valid_patch(caplog):
+    batch = _mixed_data()
+    batch[1] = _without_valid_patches(batch[1])
+    model = _model(seed=10)
+    with caplog.at_level(logging.WARNING, logger="triad.losses"):
+        _assert_matches_reference(model, batch)
+    assert any("no valid patch" in r.getMessage() for r in caplog.records)
+    # the empty sample still counts in the 1/B mean
+    w = LossWeights()
+    full = batch_loss(model, batch, w, mode="eval")[0].item()
+    rest = batch_loss(model, batch[:1] + batch[2:], w, mode="eval")[0].item()
+    assert full == pytest.approx(rest * (len(batch) - 1) / len(batch), rel=1e-12)
+
+
+def test_stacked_loss_all_invalid_batch_is_zero():
+    batch = [_without_valid_patches(s) for s in _mixed_data()]
+    ref, grads = _assert_matches_reference(_model(seed=12), batch)
+    assert ref == 0.0 and all(not g.any() for g in grads.values())
+
+
+def test_stacked_loss_matches_reference_train_mode_dropout():
+    dims = ModelDims(d_rgb=5, d_3d=7, d_text=8, n_experts=3, top_k=2,
+                     dropout_rate=0.5)
+    model = _model(seed=13, dims=dims)
+    _assert_matches_reference(model, _mixed_data(), mode="train", seed=4)
+    # one (C, D_text) dropout draw equals C one-row draws in sorted class order
+    classes = ["bagel", "dowel", "tire"]
+    rng = np.random.default_rng(5)
+    one_by_one = np.concatenate([model.text_anchor(c, mode="train", dropout_rng=rng).data
+                                 for c in classes])
+    stacked = model.text_anchors(classes, mode="train",
+                                 dropout_rng=np.random.default_rng(5)).data
+    np.testing.assert_allclose(stacked, one_by_one, rtol=1e-12, atol=1e-14)
+
+
+def test_stacked_loss_matches_reference_mlp_mapper():
+    _assert_matches_reference(_model(seed=14, mapper_kind="mlp"), _mixed_data())
+
+
+def _graph_nodes(root):
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_default_config_step_builds_at_most_300_nodes():
+    # one graph per batch: the count does not grow with the batch size
+    cfg = build_run_config(resolve_config())
+    train_samples, _ = gen_dataset(cfg.data, cfg.seed)
+    model = Model(cfg.dims, seed=cfg.seed, catalog=cfg.catalog)
+    size = cfg.train.batch_size
+    batch = [train_samples[i * len(train_samples) // size] for i in range(size)]
+    assert len({s.class_name for s in batch}) == len(cfg.data.classes)
+    loss, _, _ = batch_loss(model, batch, cfg.train.loss_weights, mode="train",
+                            dropout_rng=np.random.default_rng(0))
+    assert _graph_nodes(loss) <= 300
