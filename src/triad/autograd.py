@@ -395,8 +395,9 @@ def cosine_rows(a, b, eps: float = 1e-8) -> Tensor:
         raise DimensionMismatchError(
             f"cosine_rows shapes differ: {a.data.shape} vs {b.data.shape}")
     dot = tensor_sum(mul(a, b), axis=-1)
-    na = maximum_scalar(sqrt(tensor_sum(mul(a, a), axis=-1)), eps)
-    nb = maximum_scalar(sqrt(tensor_sum(mul(b, b), axis=-1)), eps)
+    # clamp the squared norm before the root, so a zero row's gradient is 0, not 0/0
+    na = sqrt(maximum_scalar(tensor_sum(mul(a, a), axis=-1), eps * eps))
+    nb = sqrt(maximum_scalar(tensor_sum(mul(b, b), axis=-1), eps * eps))
     return div(dot, mul(na, nb))
 
 

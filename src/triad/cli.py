@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import ConfigError, build_run_config, load_config
 from .evaluate import OracleMismatchError, evaluate, infer_maps
-from .model import Model
+from .metrics import MetricError
+from .model import Model, ParameterMismatchError
 from .provider import DatasetFolderProvider, DatasetIOError, save_dataset
 from .scoring import ShapeMismatchError
 from .synthdata import LabeledSample, gen_dataset
@@ -240,6 +241,12 @@ def main(argv=None) -> int:
     except (DatasetIOError, FileNotFoundError, TmfFormatError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ParameterMismatchError as exc:
+        print(f"I/O error: checkpoint does not fit its model: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MetricError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import BinaryLabeledScores, auroc, aupro, pixel_auroc
+from .metrics import BinaryLabeledScores, auroc, aupro, pixel_auroc, pro_curve
 from .model import Model
 from .oracles import auroc_pair_counting, aupro_exhaustive, pro_points_exhaustive
 from .scoring import (
@@ -70,8 +70,10 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
             "i_auroc": auroc(BinaryLabeledScores(scores, labels)),
             "p_auroc": pixel_auroc(maps, gts, valids),
         }
+        # one curve per class serves every limit
+        curve = pro_curve(maps, gts, valids) if fpr_limits else None
         for lim in fpr_limits:
-            entry[f"aupro@{lim:g}"] = aupro(maps, gts, valids, lim)
+            entry[f"aupro@{lim:g}"] = aupro(maps, gts, valids, lim, curve)
         if oracle_check:
             _assert_oracles(entry, maps, gts, valids, scores, labels,
                             fpr_limits, oracle_tolerance)

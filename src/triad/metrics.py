@@ -127,9 +127,14 @@ def pro_curve(maps, gt_masks, valid) -> tuple[np.ndarray, np.ndarray]:
     return fprs, pros
 
 
-def aupro(maps, gt_masks, valid, fpr_limit: float) -> float:
-    """Normalized area under the per-region-overlap curve up to `fpr_limit`."""
+def aupro(maps, gt_masks, valid, fpr_limit: float,
+          curve: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """Normalized area under the per-region-overlap curve up to `fpr_limit`.
+
+    `curve` may pass the :func:`pro_curve` of the same maps, so that several
+    limits share one curve; by default this call builds it.
+    """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
-    fprs, pros = pro_curve(maps, gt_masks, valid)
+    fprs, pros = pro_curve(maps, gt_masks, valid) if curve is None else curve
     return _integrate_to_limit(fprs, pros, fpr_limit) / fpr_limit

@@ -27,6 +27,10 @@ MAPPER_GACM = "gacm"
 MAPPER_MLP = "mlp"
 
 
+class ParameterMismatchError(ValueError):
+    """Arrays handed to :meth:`Model.load_arrays` do not fit the model."""
+
+
 @dataclass
 class ModelDims:
     d_rgb: int = 12
@@ -117,12 +121,13 @@ class Model:
         if set(arrays) != set(names):
             missing = set(names) - set(arrays)
             extra = set(arrays) - set(names)
-            raise ValueError(f"parameter set mismatch: missing={sorted(missing)}, "
-                             f"unexpected={sorted(extra)}")
+            raise ParameterMismatchError(
+                f"parameter set mismatch: missing={sorted(missing)}, "
+                f"unexpected={sorted(extra)}")
         for name in names:
             t = self.store[name]
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"{arr.shape} vs {t.data.shape}")
+                raise ParameterMismatchError(f"shape mismatch for {name}: "
+                                             f"{arr.shape} vs {t.data.shape}")
             t.data = arr.copy()

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used to cross-check the metric suite.
 
-These deliberately avoid the vectorized counting tricks of
-:mod:`triad.metrics`: the AUROC oracle enumerates every positive/negative
-pair, and the AUPRO oracle recomputes the thresholded prediction mask for
-every distinct score value.
+These deliberately avoid the counting tricks of :mod:`triad.metrics` (ranks,
+sorted scores, binary search, cumulative sums): the AUROC oracle compares
+every positive/negative pair, and the AUPRO oracle rebuilds the thresholded
+prediction mask for every distinct score value.  Each brute-force step is one
+array operation, and every count is an exact integer, so the values equal
+those of the plain loops to the last bit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import numpy as np
 from .metrics import MetricError, connected_components
 
 
+_PAIR_BLOCK_ROWS = 256  # positives per block: a (256, N) comparison at a time
+
+
 def auroc_pair_counting(scores, labels) -> float:
-    """(concordant pairs + 0.5 * tied pairs) / (P * N), enumerated explicitly."""
+    """(concordant pairs + 0.5 * tied pairs) / (P * N), every pair compared."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=bool).ravel()
     pos = scores[labels]
@@ -23,14 +28,12 @@ def auroc_pair_counting(scores, labels) -> float:
         raise MetricError("auroc undefined: no anomalous (positive) sample")
     if neg.size == 0:
         raise MetricError("auroc undefined: no normal (negative) sample")
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (pos.size * neg.size)
+    above = tied = 0
+    for i in range(0, pos.size, _PAIR_BLOCK_ROWS):
+        block = pos[i:i + _PAIR_BLOCK_ROWS, None]
+        above += int(np.count_nonzero(block > neg))
+        tied += int(np.count_nonzero(block == neg))
+    return (above + 0.5 * tied) / (pos.size * neg.size)
 
 
 def pro_points_exhaustive(maps, gt_masks, valid,
@@ -38,35 +41,42 @@ def pro_points_exhaustive(maps, gt_masks, valid,
     """(FPR, PRO) points threshold by threshold, strictest first, from (0, 0).
 
     Every distinct valid score is a threshold, and each one rebuilds the
-    prediction masks from scratch.  The sweep ends at the first point whose
-    FPR reaches `fpr_stop`: integrating up to any limit <= `fpr_stop` never
-    reads a later point.
+    prediction mask of every pixel from scratch.  The samples' pixels are
+    pooled flat, so grids may differ in size; each ground-truth region
+    (clipped to valid pixels) is a run of flat indices into the pool.  The
+    sweep ends at the first point whose FPR reaches `fpr_stop`: integrating
+    up to any limit <= `fpr_stop` never reads a later point.
     """
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     gt_masks = [np.asarray(g, dtype=bool) for g in gt_masks]
     valid = [np.asarray(v, dtype=bool) for v in valid]
-    regions = []  # (sample index, boolean region mask restricted to valid)
-    for i, (gt, v) in enumerate(zip(gt_masks, valid)):
+    region_px, starts = [], []  # flat pool indices of each region's valid pixels
+    offset = n_region_px = 0
+    for gt, v in zip(gt_masks, valid):
         for comp in connected_components(gt):
-            region = np.zeros_like(gt)
-            region[comp[:, 0], comp[:, 1]] = True
-            region &= v
-            if region.any():
-                regions.append((i, region))
-    if not regions:
+            keep = v[comp[:, 0], comp[:, 1]]
+            if keep.any():
+                region_px.append(offset + np.ravel_multi_index(
+                    (comp[keep, 0], comp[keep, 1]), gt.shape))
+                starts.append(n_region_px)
+                n_region_px += region_px[-1].size
+        offset += gt.size
+    if not region_px:
         raise MetricError("aupro undefined: no ground-truth region")
-    neg_total = sum(int((v & ~gt).sum()) for gt, v in zip(gt_masks, valid))
+    neg = np.concatenate([(v & ~gt).ravel() for gt, v in zip(gt_masks, valid)])
+    neg_total = int(np.count_nonzero(neg))
     if neg_total == 0:
         raise MetricError("aupro undefined: no normal valid pixel")
+    pooled = np.concatenate([m.ravel() for m in maps])
+    sizes = np.array([r.size for r in region_px])
+    region_px = np.concatenate(region_px)
     thresholds = np.unique(np.concatenate([m[v] for m, v in zip(maps, valid)]))[::-1]
     points = [(0.0, 0.0)]
     for t in thresholds:
-        preds = [m >= t for m in maps]
-        fp = sum(int((p & v & ~gt).sum())
-                 for p, gt, v in zip(preds, gt_masks, valid))
-        pro = float(np.mean([(preds[i] & region).sum() / region.sum()
-                             for i, region in regions]))
-        points.append((fp / neg_total, pro))
+        pred = pooled >= t
+        fp = int(np.count_nonzero(pred & neg))
+        hits = np.add.reduceat(pred[region_px], starts, dtype=np.int64)
+        points.append((fp / neg_total, float(np.mean(hits / sizes))))
         if points[-1][0] >= fpr_stop:
             break
     return points

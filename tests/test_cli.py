@@ -236,3 +236,38 @@ def test_infer_mask_grid_mismatch_exits_4(tmp_path, data_dir, checkpoint, capsys
                  "--out", str(tmp_path / "m.tmf")])
     assert code == EXIT_VALIDATION
     assert _one_line_error(capsys)
+
+
+def test_eval_single_label_test_class_exits_4(tmp_path, data_dir, checkpoint,
+                                              capsys):
+    # AUROC is undefined when every test sample of a class carries one label
+    manifest_path = Path(data_dir) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for e in manifest["samples"]:
+        if e["split"] == "test":
+            e["is_anomalous"] = False
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", checkpoint, "--data", data_dir,
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_VALIDATION
+    assert _one_line_error(capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_checkpoint_missing_a_parameter_exits_3(tmp_path, data_dir, checkpoint,
+                                                capsys):
+    from triad.tmf import save_checkpoint
+    ck = load_checkpoint(checkpoint)
+    arrays = dict(ck["arrays"])
+    arrays.pop(sorted(arrays)[0])
+    short = tmp_path / "short.ckpt"
+    save_checkpoint(short, arrays, ck["step"], ck["seed"], ck["config_hash"],
+                    ck["config"])
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(short), "--data", data_dir,
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert sorted(ck["arrays"])[0] in err

@@ -91,6 +91,25 @@ def test_zero_row_hits_eps_guard_not_nan():
     assert v == pytest.approx(1.0)  # clamped norm makes sim 0
 
 
+def test_zero_row_gradient_is_finite_and_matches_finite_difference():
+    # the norm is clamped at eps, so near a zero row the cosine is linear:
+    # d/da cos = b / (eps * |b|), times the row weight 1/2 and the loss sign
+    pred = np.array([[0.0, 0.0], [1.0, 2.0]])
+    target = np.array([[1.0, 0.0], [1.0, 1.0]])
+    p = Tensor(pred.copy(), requires_grad=True)
+    masked_cosine_loss(p, target, _full_mask(2)).backward()
+    assert np.isfinite(p.grad).all()
+    np.testing.assert_array_equal(p.grad[0], [-5e7, 0.0])
+    h = 1e-10  # keeps the perturbed row's norm inside the clamp
+    for j in range(2):
+        up, down = pred.copy(), pred.copy()
+        up[0, j] += h
+        down[0, j] -= h
+        fd = (masked_cosine_loss(up, target, _full_mask(2)).item()
+              - masked_cosine_loss(down, target, _full_mask(2)).item()) / (2 * h)
+        assert fd == pytest.approx(p.grad[0, j], rel=1e-6, abs=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # composite losses
 

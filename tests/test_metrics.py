@@ -1,7 +1,12 @@
 """Tests for AUROC / pixel AUROC / AUPRO against hand values and brute-force oracles."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
+
+import triad.oracles
 
 from triad.metrics import (
     BinaryLabeledScores,
@@ -220,6 +225,16 @@ def test_aupro_matches_exhaustive_oracle(seed, limit):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_aupro_curve_shared_by_limits(seed):
+    rng = np.random.default_rng(seed)
+    batch = [_one_sample(rng, h=8, w=9) for _ in range(3)]
+    maps, gts, vs = map(list, zip(*batch))
+    curve = pro_curve(maps, gts, vs)
+    for limit in (0.3, 0.01, 1.0):
+        assert aupro(maps, gts, vs, limit, curve) == aupro(maps, gts, vs, limit)
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_exhaustive_sweep_shared_by_limits(seed):
     # one sweep stopped at the largest limit gives every limit's exact value
     rng = np.random.default_rng(seed)
@@ -231,3 +246,116 @@ def test_exhaustive_sweep_shared_by_limits(seed):
     for limit in (0.3, 0.01):
         assert (aupro_exhaustive(maps, gts, vs, limit, points)
                 == aupro_exhaustive(maps, gts, vs, limit))
+
+
+# ---------------------------------------------------------------------------
+# the oracles stay brute force: equal to plain loops, to the last bit
+
+
+def _pair_counting_loop(scores, labels):
+    """Reference: the pair-by-pair Python loop the array oracle replaces."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    labels = np.asarray(labels, dtype=bool).ravel()
+    pos = scores[labels]
+    neg = scores[~labels]
+    total = 0.0
+    for p in pos:
+        for n in neg:
+            if p > n:
+                total += 1.0
+            elif p == n:
+                total += 0.5
+    return total / (pos.size * neg.size)
+
+
+def _pro_points_loop(maps, gt_masks, valid, fpr_stop=1.0):
+    """Reference: per-threshold Python passes over every sample and region."""
+    maps = [np.asarray(m, dtype=np.float64) for m in maps]
+    gt_masks = [np.asarray(g, dtype=bool) for g in gt_masks]
+    valid = [np.asarray(v, dtype=bool) for v in valid]
+    regions = []
+    for i, (gt, v) in enumerate(zip(gt_masks, valid)):
+        for comp in connected_components(gt):
+            region = np.zeros_like(gt)
+            region[comp[:, 0], comp[:, 1]] = True
+            region &= v
+            if region.any():
+                regions.append((i, region))
+    neg_total = sum(int((v & ~gt).sum()) for gt, v in zip(gt_masks, valid))
+    thresholds = np.unique(np.concatenate([m[v] for m, v in zip(maps, valid)]))[::-1]
+    points = [(0.0, 0.0)]
+    for t in thresholds:
+        preds = [m >= t for m in maps]
+        fp = sum(int((p & v & ~gt).sum())
+                 for p, gt, v in zip(preds, gt_masks, valid))
+        pro = float(np.mean([(preds[i] & region).sum() / region.sum()
+                             for i, region in regions]))
+        points.append((fp / neg_total, pro))
+        if points[-1][0] >= fpr_stop:
+            break
+    return points
+
+
+def _ragged_instance(rng):
+    """Samples of different grid sizes, several regions each, holes in the
+    valid masks inside regions, and maps quantised on odd draws for ties."""
+    maps, gts, valid = [], [], []
+    quantise = bool(rng.integers(0, 2))
+    for _ in range(int(rng.integers(1, 5))):
+        h, w = int(rng.integers(4, 13)), int(rng.integers(4, 13))
+        m = rng.random((h, w))
+        maps.append(np.round(m, 1) if quantise else m)
+        gt = np.zeros((h, w), dtype=bool)
+        for _ in range(int(rng.integers(0, 4))):
+            r, c = int(rng.integers(0, h - 1)), int(rng.integers(0, w - 1))
+            gt[r:r + int(rng.integers(1, 3)), c:c + int(rng.integers(1, 3))] = True
+        gts.append(gt)
+        valid.append(rng.random((h, w)) > 0.2)
+    gts[0][0, 0] = valid[0][0, 0] = True   # at least one region
+    gts[0][-1, -1], valid[0][-1, -1] = False, True  # at least one negative
+    return maps, gts, valid
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pair_counting_equals_the_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    # up to ~700 positives, so the row blocks end mid-array; rounding forces ties
+    n = int(rng.integers(2, 1400))
+    scores = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+    labels = rng.random(n) > rng.random()
+    labels[0], labels[-1] = True, False
+    got = auroc_pair_counting(scores, labels)
+    assert type(got) is float and got == _pair_counting_loop(scores, labels)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("fpr_stop", [0.01, 0.3, 1.0])
+def test_pro_points_equal_the_threshold_loop(seed, fpr_stop):
+    rng = np.random.default_rng(100 + seed)
+    maps, gts, valid = _ragged_instance(rng)
+    got = pro_points_exhaustive(maps, gts, valid, fpr_stop)
+    assert got == _pro_points_loop(maps, gts, valid, fpr_stop)
+    assert all(type(x) is float and type(y) is float for x, y in got)
+
+
+def _oracle_tree():
+    return ast.parse(inspect.getsource(triad.oracles))
+
+
+def test_oracles_import_only_the_shared_metric_helpers():
+    from_metrics = set()
+    for node in ast.walk(_oracle_tree()):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("metrics"):
+            from_metrics |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all(not a.name.startswith("triad") for a in node.names)
+    assert from_metrics == {"MetricError", "connected_components"}
+
+
+def test_oracles_use_no_ranks_sorting_or_running_sums():
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(_oracle_tree())
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    banned = {"rankdata", "argsort", "sort", "sorted", "searchsorted",
+              "cumsum", "cumulative_sum", "auroc", "pro_curve"}
+    assert names & banned == set()
