@@ -216,17 +216,6 @@ def sqrt(a) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * data)
-
-    return _make(data, (a,), bw)
-
-
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
@@ -399,27 +388,6 @@ def cosine_rows(a, b, eps: float = 1e-8) -> Tensor:
     na = sqrt(maximum_scalar(tensor_sum(mul(a, a), axis=-1), eps * eps))
     nb = sqrt(maximum_scalar(tensor_sum(mul(b, b), axis=-1), eps * eps))
     return div(dot, mul(na, nb))
-
-
-def cosine_similarity(a, b, eps: float = 1e-8) -> float:
-    """Cosine similarity of two 1-D vectors, as a plain float."""
-    a, b = as_tensor(a), as_tensor(b)
-    va, vb = a.data.ravel(), b.data.ravel()
-    if va.shape != vb.shape:
-        raise DimensionMismatchError(
-            f"cosine_similarity extents differ: {va.shape} vs {vb.shape}")
-    na = max(float(np.linalg.norm(va)), eps)
-    nb = max(float(np.linalg.norm(vb)), eps)
-    return float(va @ vb) / (na * nb)
-
-
-def euclidean_distance(x, y) -> float:
-    """L2 distance between two equally shaped vectors."""
-    x, y = as_tensor(x), as_tensor(y)
-    if x.data.shape != y.data.shape:
-        raise DimensionMismatchError(
-            f"euclidean_distance extents differ: {x.data.shape} vs {y.data.shape}")
-    return float(np.sqrt(((x.data - y.data) ** 2).sum()))
 
 
 # ---------------------------------------------------------------------------

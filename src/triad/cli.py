@@ -1,7 +1,9 @@
 """Command-line interface: gen-data / train / eval / infer / gradcheck.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 validation or gradient-check failure.
+Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
+4 validation or gradient-check failure, each error with one stderr line.
+`main` maps every expected exception to its code through `_EXIT_CODES`;
+any other exception propagates.
 """
 
 from __future__ import annotations
@@ -13,23 +15,23 @@ from pathlib import Path
 
 import numpy as np
 
+from .autograd import NonFiniteError
 from .config import ConfigError, build_run_config, load_config
 from .evaluate import OracleMismatchError, evaluate, infer_maps
 from .metrics import MetricError
 from .model import Model, ParameterMismatchError
-from .provider import DatasetFolderProvider, DatasetIOError, save_dataset
+from .provider import DatasetFolderProvider, read_features, save_dataset
 from .scoring import ShapeMismatchError
 from .synthdata import LabeledSample, gen_dataset
 from .tmf import (
     TmfFormatError,
     canonical_json,
     load_checkpoint,
-    read_tensor,
     save_checkpoint,
     write_pgm,
     write_tensor,
 )
-from .trainer import run_gradcheck, train
+from .trainer import TrainingContractError, run_gradcheck, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,49 +41,24 @@ EXIT_VALIDATION = 4
 GRADCHECK_TOLERANCE = 1e-4
 
 
+class ValidationError(ValueError):
+    """A sample that does not fit the configuration, or a failed gradient check."""
+
+
+# checked in order, first match wins; label prefixes the one-line message
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (ParameterMismatchError, EXIT_IO, "I/O error: checkpoint does not fit its model"),
+    ((OSError, TmfFormatError), EXIT_IO, "I/O error"),
+    (OracleMismatchError, EXIT_VALIDATION, "validation error: oracle cross-check failed"),
+    ((ShapeMismatchError, NonFiniteError, MetricError, TrainingContractError,
+      ValidationError), EXIT_VALIDATION, "validation error"),
+)
+
+
 def _build_model(cfg) -> Model:
     return Model(cfg.dims, seed=cfg.seed, catalog=cfg.catalog,
                  mapper_kind=cfg.mapper_kind)
-
-
-def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    train_samples, test_samples = gen_dataset(cfg.data, cfg.seed)
-    try:
-        save_dataset(args.out, train_samples, test_samples, cfg.hash, cfg.seed)
-    except OSError as exc:
-        print(f"error: cannot write dataset: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {len(train_samples)} train / {len(test_samples)} test samples "
-          f"to {args.out} (config {cfg.hash[:12]})")
-    return EXIT_OK
-
-
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    try:
-        provider = DatasetFolderProvider(args.data)
-        train_samples = provider.load_split("train")
-    except (OSError, DatasetIOError) as exc:
-        print(f"error: cannot read dataset: {exc}", file=sys.stderr)
-        return EXIT_IO
-    model = _build_model(cfg)
-    ckpt, loss_log = train(cfg.train, model, train_samples,
-                           config_snapshot=cfg.raw)
-    try:
-        save_checkpoint(args.out, ckpt.arrays, ckpt.step, ckpt.seed,
-                        cfg.hash, cfg.raw)
-        log_path = Path(str(args.out) + ".log.jsonl")
-        with open(log_path, "w") as f:
-            for rec in loss_log:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write checkpoint: {exc}", file=sys.stderr)
-        return EXIT_IO
-    final = loss_log[-1]["l_total"] if loss_log else float("nan")
-    print(f"trained {ckpt.step} steps, final loss {final:.6f}, "
-          f"checkpoint {args.out} (config {cfg.hash[:12]})")
-    return EXIT_OK
 
 
 def _load_model_from_checkpoint(path):
@@ -92,38 +69,53 @@ def _load_model_from_checkpoint(path):
     return model, cfg
 
 
+def _check_fits(cfg, samples) -> None:
+    """Every sample's class and feature widths must be the configured ones."""
+    dims = (cfg.dims.d_rgb, cfg.dims.d_3d)
+    for s in samples:
+        if s.class_name not in cfg.data.classes:
+            raise ValidationError(f"class {s.class_name!r} absent from the "
+                                  f"configured class list")
+        widths = (s.f_rgb.shape[-1], s.f_3d.shape[-1])
+        if widths != dims:
+            raise ValidationError(f"sample widths {widths} do not match the "
+                                  f"configured dims {dims}")
+
+
+def cmd_gen_data(args) -> int:
+    cfg = load_config(args.config, args.seed)
+    train_samples, test_samples = gen_dataset(cfg.data, cfg.seed)
+    save_dataset(args.out, train_samples, test_samples, cfg.hash, cfg.seed)
+    print(f"wrote {len(train_samples)} train / {len(test_samples)} test samples "
+          f"to {args.out} (config {cfg.hash[:12]})")
+    return EXIT_OK
+
+
+def cmd_train(args) -> int:
+    cfg = load_config(args.config, args.seed)
+    train_samples = DatasetFolderProvider(args.data).load_split("train")
+    _check_fits(cfg, train_samples)
+    ckpt, loss_log = train(cfg.train, _build_model(cfg), train_samples,
+                           config_snapshot=cfg.raw)
+    save_checkpoint(args.out, ckpt.arrays, ckpt.step, ckpt.seed, cfg.hash, cfg.raw)
+    with open(str(args.out) + ".log.jsonl", "w") as f:
+        for rec in loss_log:
+            f.write(json.dumps(rec, sort_keys=True) + "\n")
+    final = loss_log[-1]["l_total"] if loss_log else float("nan")
+    print(f"trained {ckpt.step} steps, final loss {final:.6f}, "
+          f"checkpoint {args.out} (config {cfg.hash[:12]})")
+    return EXIT_OK
+
+
 def cmd_eval(args) -> int:
-    try:
-        model, cfg = _load_model_from_checkpoint(args.checkpoint)
-    except OSError as exc:
-        print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        provider = DatasetFolderProvider(args.data)
-        test_samples = provider.load_split("test")
-    except (OSError, DatasetIOError) as exc:
-        print(f"error: cannot read dataset: {exc}", file=sys.stderr)
-        return EXIT_IO
-    known = set(cfg.data.classes)
-    for s in test_samples:
-        if s.class_name not in known:
-            print(f"error: test class {s.class_name!r} absent from the "
-                  f"configured class list", file=sys.stderr)
-            return EXIT_VALIDATION
-    limits = [float(x) for x in args.limit] if args.limit else cfg.fpr_limits
-    try:
-        report = evaluate(model, test_samples, cfg.fusion, limits,
-                          oracle_check=args.oracle_check)
-    except OracleMismatchError as exc:
-        print(f"error: oracle cross-check failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    model, cfg = _load_model_from_checkpoint(args.checkpoint)
+    test_samples = DatasetFolderProvider(args.data).load_split("test")
+    _check_fits(cfg, test_samples)
+    report = evaluate(model, test_samples, cfg.fusion, args.limit or cfg.fpr_limits,
+                      oracle_check=args.oracle_check)
     report["config_hash"] = cfg.hash
     report["seed"] = cfg.seed
-    try:
-        Path(args.out).write_bytes(canonical_json(report))
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+    Path(args.out).write_bytes(canonical_json(report))
     avg = report["average"]
     summary = ", ".join(f"{k}={v:.4f}" for k, v in sorted(avg.items()))
     print(f"average: {summary}")
@@ -131,46 +123,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    try:
-        model, cfg = _load_model_from_checkpoint(args.checkpoint)
-    except OSError as exc:
-        print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return EXIT_IO
-    sdir = Path(args.sample)
-    try:
-        f_rgb = np.asarray(read_tensor(sdir / "f_rgb.tmf"), dtype=np.float64)
-        f_3d = np.asarray(read_tensor(sdir / "f_3d.tmf"), dtype=np.float64)
-        mask = read_tensor(sdir / "mask.tmf").astype(bool)
-    except OSError as exc:
-        print(f"error: cannot read sample: {exc}", file=sys.stderr)
-        return EXIT_IO
+    model, cfg = _load_model_from_checkpoint(args.checkpoint)
+    f_rgb, f_3d, mask = read_features(args.sample)
     class_name = args.class_name or cfg.data.classes[0]
-    if class_name not in cfg.data.classes:
-        print(f"error: class {class_name!r} absent from the checkpoint's "
-              f"configured class list", file=sys.stderr)
-        return EXIT_VALIDATION
-    if f_rgb.shape[-1] != cfg.dims.d_rgb or f_3d.shape[-1] != cfg.dims.d_3d:
-        print(f"error: sample widths ({f_rgb.shape[-1]}, {f_3d.shape[-1]}) do not "
-              f"match checkpoint dims ({cfg.dims.d_rgb}, {cfg.dims.d_3d})",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    sample = LabeledSample(class_name, f_rgb, f_3d, mask,
-                           np.zeros_like(mask), False)
-    try:
-        final, score = infer_maps(model, sample, cfg.fusion)
-    except ShapeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        write_tensor(args.out, final.astype(np.float32))
-        meta = {"config_hash": cfg.hash, "image_score": score,
-                "class": class_name}
-        Path(str(args.out) + ".meta.json").write_bytes(canonical_json(meta))
-        if args.pgm:
-            write_pgm(str(args.out) + ".pgm", final)
-    except OSError as exc:
-        print(f"error: cannot write map: {exc}", file=sys.stderr)
-        return EXIT_IO
+    sample = LabeledSample(class_name, f_rgb, f_3d, mask, np.zeros_like(mask), False)
+    _check_fits(cfg, [sample])
+    final, score = infer_maps(model, sample, cfg.fusion)
+    write_tensor(args.out, final.astype(np.float32))
+    meta = {"config_hash": cfg.hash, "image_score": score, "class": class_name}
+    Path(str(args.out) + ".meta.json").write_bytes(canonical_json(meta))
+    if args.pgm:
+        write_pgm(str(args.out) + ".pgm", final)
     print(f"image score: {score:.6f}")
     return EXIT_OK
 
@@ -183,15 +146,20 @@ def cmd_gradcheck(args) -> int:
     print(f"max relative error {report.max_relative_error:.3e} "
           f"(worst: {report.worst_parameter})")
     if not report.passed(GRADCHECK_TOLERANCE):
-        print(f"error: gradient check exceeded tolerance {GRADCHECK_TOLERANCE}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError(
+            f"gradient check exceeded tolerance {GRADCHECK_TOLERANCE}")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one stderr line, like every other error."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="triad",
-                                description="Text-guided RGB-3D anomaly detection head")
+    p = _Parser(prog="triad", description="Text-guided RGB-3D anomaly detection head")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate the synthetic benchmark")
@@ -212,7 +180,7 @@ def _parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--oracle-check", action="store_true")
-    e.add_argument("--limit", action="append",
+    e.add_argument("--limit", action="append", type=float,
                    help="AUPRO FPR limit, repeatable (default from config)")
     e.set_defaults(fn=cmd_eval)
 
@@ -235,18 +203,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DatasetIOError, FileNotFoundError, TmfFormatError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParameterMismatchError as exc:
-        print(f"I/O error: checkpoint does not fit its model: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MetricError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except Exception as exc:
+        for types, code, label in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -53,25 +53,15 @@ class GacmParams:
                  zero_branches: bool = False):
         self.d_rgb = d_rgb
         self.d_3d = d_3d
-        if zero_branches:
-            zrng = _ZeroRng()
-            self.phi_s = _init_linear(store, f"{prefix}.phi_s", d_rgb, d_3d, zrng)
-            self.phi_g = _init_linear(store, f"{prefix}.phi_g", d_rgb, d_3d, zrng)
-            self.w_gate = _init_linear(store, f"{prefix}.w_gate", d_3d, d_3d, zrng)
-        else:
-            self.phi_s = _init_linear(store, f"{prefix}.phi_s", d_rgb, d_3d, rng)
-            self.phi_g = _init_linear(store, f"{prefix}.phi_g", d_rgb, d_3d, rng)
-            self.w_gate = _init_linear(store, f"{prefix}.w_gate", d_3d, d_3d, rng)
+        self.phi_s = _init_linear(store, f"{prefix}.phi_s", d_rgb, d_3d, rng)
+        self.phi_g = _init_linear(store, f"{prefix}.phi_g", d_rgb, d_3d, rng)
+        self.w_gate = _init_linear(store, f"{prefix}.w_gate", d_3d, d_3d, rng)
+        if zero_branches:  # exact pass-through initialization
+            for lin in (self.phi_s, self.phi_g, self.w_gate):
+                lin.weight.data[...] = 0.0
         self.ln_gain = store.register(f"{prefix}.ln_gain", np.ones(d_3d))
         self.ln_shift = store.register(f"{prefix}.ln_shift", np.zeros(d_3d))
         self.residual = _init_identity_linear(store, f"{prefix}.residual", d_rgb, d_3d)
-
-
-class _ZeroRng:
-    """Stand-in rng producing zeros, for the exact pass-through initialization."""
-
-    def uniform(self, low, high, size):
-        return np.zeros(size)
 
 
 def gacm_bifurcate(f_rgb, p: GacmParams) -> tuple[Tensor, Tensor]:

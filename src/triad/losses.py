@@ -45,9 +45,12 @@ def masked_cosine_loss(pred, target, mask: np.ndarray,
     `pred` and `target` are (N, D) patch matrices; `mask` is a flat boolean
     array of length N.  `row_weights` (length N) weighs each row's term; by
     default every valid row weighs 1/n_valid, which gives the mean.  Invalid
-    patches are dropped before any arithmetic, so their feature values can
-    never influence the value or its gradients.  Returns 0 (with a warning)
-    when no patch is valid.
+    patches are dropped before this loss's arithmetic, so their values cannot
+    influence the value or its gradients as long as they are finite.  A NaN
+    or infinity at an invalid patch still can: the model's forward runs on
+    every stacked row, and a weight gradient then computes NaN * 0 = NaN.
+    `provider.read_features` rejects sample files holding such values.
+    Returns 0 (with a warning) when no patch is valid.
     """
     pred, target = as_tensor(pred), as_tensor(target)
     if pred.data.shape != target.data.shape:

@@ -1,25 +1,26 @@
-"""Feature providers: the seam that stands in for frozen backbone extractors.
+"""Dataset folders: the seam that stands in for frozen backbone extractors.
 
-Any object with ``provide(ref) -> (f_rgb, f_3d, mask, class_name)`` returning
-aligned grids deterministically satisfies the contract.  The default
-implementation reads the TMF1 sample folders written by ``triad gen-data``.
+A dataset is a ``manifest.json`` plus one folder of TMF1 files per sample
+(``f_rgb.tmf``, ``f_3d.tmf``, ``mask.tmf`` and, for labelled samples,
+``gt.tmf``), as written by ``triad gen-data``.  Any other feature source
+plugs in by writing the same layout.  Every read is checked: a malformed
+manifest raises `DatasetIOError`, mismatched ranks or grids raise
+`ShapeMismatchError`, and non-finite features raise `NonFiniteError`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
+from .autograd import NonFiniteError
+from .scoring import ShapeMismatchError
 from .synthdata import LabeledSample
 from .tmf import canonical_json, read_tensor, write_tensor
 
-
-class FeatureProvider(Protocol):
-    def provide(self, ref: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-        ...
+_ENTRY_KEYS = frozenset({"id", "class", "split", "is_anomalous"})
 
 
 class DatasetIOError(OSError):
@@ -45,6 +46,30 @@ def save_dataset(out_dir, train, test, config_hash: str, seed: int) -> None:
     (out / "manifest.json").write_bytes(canonical_json(manifest))
 
 
+def read_features(sdir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read one sample folder's (H, W, D) feature grids and (H, W) mask.
+
+    Raises `ShapeMismatchError` unless both grids are rank 3 and the mask
+    rank 2 over one (H, W) grid, and `NonFiniteError` if any feature value,
+    at a valid pixel or not, is NaN or infinite.
+    """
+    sdir = Path(sdir)
+    f_rgb = np.asarray(read_tensor(sdir / "f_rgb.tmf"), dtype=np.float64)
+    f_3d = np.asarray(read_tensor(sdir / "f_3d.tmf"), dtype=np.float64)
+    mask = read_tensor(sdir / "mask.tmf").astype(bool)
+    if f_rgb.ndim != 3 or f_3d.ndim != 3 or mask.ndim != 2:
+        raise ShapeMismatchError(
+            f"{sdir}: expected (H, W, D) features and an (H, W) mask, got shapes "
+            f"{f_rgb.shape}, {f_3d.shape}, {mask.shape}")
+    if f_rgb.shape[:2] != f_3d.shape[:2] or f_rgb.shape[:2] != mask.shape:
+        raise ShapeMismatchError(
+            f"{sdir}: grid mismatch ({f_rgb.shape[:2]} vs {f_3d.shape[:2]} "
+            f"vs {mask.shape})")
+    if not (np.isfinite(f_rgb).all() and np.isfinite(f_3d).all()):
+        raise NonFiniteError(f"{sdir}: non-finite feature values")
+    return f_rgb, f_3d, mask
+
+
 class DatasetFolderProvider:
     """Reads the sample folders referenced by a dataset manifest."""
 
@@ -53,8 +78,14 @@ class DatasetFolderProvider:
         manifest_path = self.root / "manifest.json"
         if not manifest_path.exists():
             raise DatasetIOError(f"no manifest.json in {self.root}")
-        self.manifest = json.loads(manifest_path.read_text())
-        self._by_id = {e["id"]: e for e in self.manifest["samples"]}
+        try:
+            self.manifest = json.loads(manifest_path.read_text())
+            entries = self.manifest["samples"]
+            if not all(_ENTRY_KEYS <= set(e) for e in entries):
+                raise KeyError(f"every sample entry needs {sorted(_ENTRY_KEYS)}")
+            self._by_id = {e["id"]: e for e in entries}
+        except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, layout
+            raise DatasetIOError(f"{manifest_path}: corrupt manifest: {exc}") from None
 
     def refs(self, split: str | None = None) -> list[str]:
         return [e["id"] for e in self.manifest["samples"]
@@ -64,56 +95,17 @@ class DatasetFolderProvider:
         entry = self._by_id.get(ref)
         if entry is None:
             raise DatasetIOError(f"unknown sample reference {ref!r}")
-        sdir = self.root / "samples" / ref
-        f_rgb = np.asarray(read_tensor(sdir / "f_rgb.tmf"), dtype=np.float64)
-        f_3d = np.asarray(read_tensor(sdir / "f_3d.tmf"), dtype=np.float64)
-        mask = read_tensor(sdir / "mask.tmf").astype(bool)
-        return f_rgb, f_3d, mask, entry["class"]
+        return (*read_features(self.root / "samples" / ref), entry["class"])
 
     def load_sample(self, ref: str) -> LabeledSample:
-        entry = self._by_id[ref]
         f_rgb, f_3d, mask, cname = self.provide(ref)
-        gt = read_tensor(self.root / "samples" / ref / "gt.tmf").astype(bool)
+        gt_path = self.root / "samples" / ref / "gt.tmf"
+        gt = read_tensor(gt_path).astype(bool)
+        if gt.shape != mask.shape:
+            raise ShapeMismatchError(
+                f"{gt_path}: ground-truth grid {gt.shape} != mask grid {mask.shape}")
         return LabeledSample(cname, f_rgb, f_3d, mask, gt,
-                             bool(entry["is_anomalous"]))
+                             bool(self._by_id[ref]["is_anomalous"]))
 
     def load_split(self, split: str) -> list[LabeledSample]:
         return [self.load_sample(r) for r in self.refs(split)]
-
-
-class InMemoryProvider:
-    """Wraps already generated samples; used for desk-scale runs and tests."""
-
-    def __init__(self, samples: list[LabeledSample]):
-        self._samples = {f"mem-{i:05d}": s for i, s in enumerate(samples)}
-
-    def refs(self) -> list[str]:
-        return list(self._samples)
-
-    def provide(self, ref: str):
-        s = self._samples[ref]
-        return s.f_rgb.copy(), s.f_3d.copy(), s.mask.copy(), s.class_name
-
-
-def validate_provider(provider: FeatureProvider, probe_refs: list[str]) -> list[str]:
-    """Shape, finiteness, and determinism diagnostics; empty list means OK."""
-    if not probe_refs:
-        raise ValueError("at least one probe reference is required")
-    diagnostics: list[str] = []
-    for ref in probe_refs:
-        f_rgb, f_3d, mask, cname = provider.provide(ref)
-        if f_rgb.ndim != 3 or f_3d.ndim != 3 or mask.ndim != 2:
-            diagnostics.append(f"{ref}: rank mismatch")
-            continue
-        if f_rgb.shape[:2] != f_3d.shape[:2] or f_rgb.shape[:2] != mask.shape:
-            diagnostics.append(f"{ref}: grid mismatch "
-                               f"({f_rgb.shape[:2]} vs {f_3d.shape[:2]} vs {mask.shape})")
-        if not np.isfinite(f_rgb).all() or not np.isfinite(f_3d).all():
-            diagnostics.append(f"{ref}: non-finite feature values")
-        if not cname:
-            diagnostics.append(f"{ref}: empty class name")
-        f_rgb2, f_3d2, mask2, cname2 = provider.provide(ref)
-        if (not np.array_equal(f_rgb, f_rgb2) or not np.array_equal(f_3d, f_3d2)
-                or not np.array_equal(mask, mask2) or cname != cname2):
-            diagnostics.append(f"{ref}: nondeterministic provide()")
-    return diagnostics

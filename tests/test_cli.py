@@ -1,13 +1,17 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from triad.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from triad.tmf import load_checkpoint, read_tensor
+from triad.tmf import load_checkpoint, read_tensor, write_tensor
 
 SMALL_OVERRIDES = {
     "data": {"classes": ["bagel"], "n_train": 4, "n_test": 4,
@@ -271,3 +275,166 @@ def test_checkpoint_missing_a_parameter_exits_3(tmp_path, data_dir, checkpoint,
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert sorted(ck["arrays"])[0] in err
+
+
+# ---------------------------------------------------------------------------
+# exit-code table: every subcommand, one stderr line, never a traceback
+
+
+def _set_nan(path, index):
+    arr = read_tensor(path)
+    arr[index] = np.nan
+    write_tensor(path, arr)
+
+
+def _nan_at_valid_pixel(sdir):
+    mask = read_tensor(sdir / "mask.tmf").astype(bool)
+    r, c = np.argwhere(mask)[0]
+    _set_nan(sdir / "f_rgb.tmf", (r, c, 0))
+
+
+def _bad_config(ctx):
+    bad = ctx.tmp / "bad.json"
+    bad.write_text('{"train": {"step_count": 5}}')
+    return str(bad)
+
+
+def _train_argv(ctx):
+    return ["train", "--config", ctx.cfg, "--data", ctx.data,
+            "--out", str(ctx.tmp / "new.ckpt")]
+
+
+def _eval_argv(ctx, *extra):
+    return ["eval", "--checkpoint", ctx.ckpt, "--data", ctx.data,
+            "--out", str(ctx.tmp / "r.json"), *extra]
+
+
+def _infer_argv(ctx, sdir):
+    return ["infer", "--checkpoint", ctx.ckpt, "--sample", str(sdir),
+            "--out", str(ctx.tmp / "m.tmf")]
+
+
+def _gen_data_unwritable(ctx):
+    return ["gen-data", "--config", ctx.cfg, "--out", ctx.cfg + "/data"]
+
+
+def _train_truncated_manifest(ctx):
+    path = Path(ctx.data) / "manifest.json"
+    path.write_bytes(path.read_bytes()[:40])
+    return _train_argv(ctx)
+
+
+def _train_nan_sample(ctx):
+    _set_nan(Path(ctx.data) / "samples" / "train-00000" / "f_3d.tmf", (0, 0, 0))
+    return _train_argv(ctx)
+
+
+def _train_anomalous_sample(ctx):
+    path = Path(ctx.data) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["samples"][0]["is_anomalous"] = True
+    path.write_text(json.dumps(manifest))
+    return _train_argv(ctx)
+
+
+def _eval_nan_at_valid_pixel(ctx):
+    _nan_at_valid_pixel(Path(ctx.data) / "samples" / "test-00000")
+    return _eval_argv(ctx)
+
+
+def _eval_gt_grid_mismatch(ctx):
+    write_tensor(Path(ctx.data) / "samples" / "test-00000" / "gt.tmf",
+                 np.zeros((4, 4), dtype=np.float32))
+    return _eval_argv(ctx)
+
+
+def _drop_rgb_channels(data_dir, sid):
+    path = Path(data_dir) / "samples" / sid / "f_rgb.tmf"
+    write_tensor(path, read_tensor(path)[..., :3])
+
+
+def _train_width_mismatch(ctx):
+    _drop_rgb_channels(ctx.data, "train-00000")
+    return _train_argv(ctx)
+
+
+def _eval_width_mismatch(ctx):
+    _drop_rgb_channels(ctx.data, "test-00000")
+    return _eval_argv(ctx)
+
+
+def _infer_nan_at_valid_pixel(ctx):
+    sdir = _sample_dir(ctx.tmp, ctx.data)
+    _nan_at_valid_pixel(sdir)
+    return _infer_argv(ctx, sdir)
+
+
+def _gradcheck_exceeds_tolerance(ctx):
+    import triad.cli as cli
+    from triad.autograd import GradCheckReport
+    ctx.monkeypatch.setattr(cli, "run_gradcheck",
+                            lambda **kw: GradCheckReport({"w": 1.0}))
+    return ["gradcheck"]
+
+
+EXIT_CODE_TABLE = [
+    ("gen-data-unknown-config-key",
+     lambda ctx: ["gen-data", "--config", _bad_config(ctx),
+                  "--out", str(ctx.tmp / "d")], EXIT_CONFIG),
+    ("gen-data-unwritable-out", _gen_data_unwritable, EXIT_IO),
+    ("train-missing-dataset",
+     lambda ctx: ["train", "--config", ctx.cfg, "--data", str(ctx.tmp / "none"),
+                  "--out", str(ctx.tmp / "ck")], EXIT_IO),
+    ("train-truncated-manifest", _train_truncated_manifest, EXIT_IO),
+    ("train-nan-in-train-sample", _train_nan_sample, EXIT_VALIDATION),
+    ("train-anomalous-train-sample", _train_anomalous_sample, EXIT_VALIDATION),
+    ("train-feature-width-mismatch", _train_width_mismatch, EXIT_VALIDATION),
+    ("eval-nan-at-valid-pixel", _eval_nan_at_valid_pixel, EXIT_VALIDATION),
+    ("eval-gt-grid-mismatch", _eval_gt_grid_mismatch, EXIT_VALIDATION),
+    ("eval-feature-width-mismatch", _eval_width_mismatch, EXIT_VALIDATION),
+    ("eval-limit-not-a-number", lambda ctx: _eval_argv(ctx, "--limit", "abc"),
+     EXIT_CONFIG),
+    ("eval-limit-out-of-range", lambda ctx: _eval_argv(ctx, "--limit", "2"),
+     EXIT_VALIDATION),
+    ("infer-nan-at-valid-pixel", _infer_nan_at_valid_pixel, EXIT_VALIDATION),
+    ("infer-missing-sample",
+     lambda ctx: _infer_argv(ctx, ctx.tmp / "none"), EXIT_IO),
+    ("gradcheck-unknown-config-key",
+     lambda ctx: ["gradcheck", "--config", _bad_config(ctx)], EXIT_CONFIG),
+    ("gradcheck-exceeds-tolerance", _gradcheck_exceeds_tolerance, EXIT_VALIDATION),
+]
+
+
+@pytest.mark.parametrize("make_argv,expected",
+                         [case[1:] for case in EXIT_CODE_TABLE],
+                         ids=[case[0] for case in EXIT_CODE_TABLE])
+def test_exit_code_table(tmp_path, cfg_path, data_dir, checkpoint, capsys,
+                         monkeypatch, make_argv, expected):
+    ctx = SimpleNamespace(tmp=tmp_path, cfg=cfg_path, data=data_dir,
+                          ckpt=checkpoint, monkeypatch=monkeypatch)
+    argv = make_argv(ctx)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code == expected
+    assert _one_line_error(capsys)
+
+
+def test_module_entry_point_maps_errors_to_exit_codes(tmp_path, data_dir,
+                                                      checkpoint):
+    import triad
+    sdir = _sample_dir(tmp_path, data_dir)
+    _nan_at_valid_pixel(sdir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(triad.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "triad.cli", "infer", "--checkpoint", checkpoint,
+         "--sample", str(sdir), "--out", str(tmp_path / "m.tmf")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_VALIDATION
+    err = proc.stderr.strip()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "non-finite" in err

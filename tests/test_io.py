@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from triad.autograd import NonFiniteError
 from triad.config import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -14,10 +15,10 @@ from triad.config import (
 from triad.provider import (
     DatasetFolderProvider,
     DatasetIOError,
-    InMemoryProvider,
+    read_features,
     save_dataset,
-    validate_provider,
 )
+from triad.scoring import ShapeMismatchError
 from triad.synthdata import SynthConfig, gen_dataset
 from triad.tmf import (
     TmfFormatError,
@@ -214,20 +215,44 @@ def test_provider_unknown_ref(tmp_path):
         DatasetFolderProvider(tmp_path).provide("train-99999")
 
 
-def test_validate_provider_clean_and_broken(tmp_path):
+@pytest.mark.parametrize("name,value,error", [
+    ("f_3d.tmf", lambda a: a[:3], ShapeMismatchError),
+    ("mask.tmf", lambda a: a[0], ShapeMismatchError),
+    ("f_rgb.tmf", lambda a: np.concatenate([a[:1] * np.nan, a[1:]]),
+     NonFiniteError),
+], ids=["grid-mismatch", "rank-mismatch", "non-finite"])
+def test_read_features_checks_rank_grid_and_finiteness(tmp_path, name, value,
+                                                       error):
     train, test = _tiny_dataset()
-    prov = InMemoryProvider(train)
-    assert validate_provider(prov, prov.refs()) == []
+    save_dataset(tmp_path, train, test, config_hash="h", seed=0)
+    sdir = tmp_path / "samples" / "train-00000"
+    f_rgb, f_3d, mask = read_features(sdir)
+    np.testing.assert_array_equal(f_rgb, train[0].f_rgb)
+    np.testing.assert_array_equal(mask, train[0].mask)
+    write_tensor(sdir / name, value(read_tensor(sdir / name)))
+    with pytest.raises(error, match="train-00000"):
+        read_features(sdir)
+    with pytest.raises(error):
+        DatasetFolderProvider(tmp_path).load_split("train")
 
-    class Broken:
-        def provide(self, ref):
-            s = train[0]
-            return s.f_rgb, s.f_3d[:3], s.mask, s.class_name
 
-    diags = validate_provider(Broken(), ["x"])
-    assert diags and "grid mismatch" in diags[0]
-    with pytest.raises(ValueError):
-        validate_provider(prov, [])
+def test_load_sample_checks_ground_truth_grid(tmp_path):
+    train, test = _tiny_dataset()
+    save_dataset(tmp_path, train, test, config_hash="h", seed=0)
+    write_tensor(tmp_path / "samples" / "test-00000" / "gt.tmf",
+                 np.zeros((3, 3), dtype=np.float32))
+    with pytest.raises(ShapeMismatchError, match="gt.tmf"):
+        DatasetFolderProvider(tmp_path).load_sample("test-00000")
+
+
+@pytest.mark.parametrize("text", ['{"samples": [', "[]", '{"seed": 0}',
+                                  '{"samples": [{"id": "train-00000"}]}'],
+                         ids=["truncated", "not-an-object", "no-samples",
+                              "entry-missing-keys"])
+def test_corrupt_manifest_raises_dataset_io_error(tmp_path, text):
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(DatasetIOError, match="corrupt manifest"):
+        DatasetFolderProvider(tmp_path)
 
 
 # ---------------------------------------------------------------------------
