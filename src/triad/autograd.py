@@ -362,18 +362,19 @@ def softmax_row(a) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def layer_norm(x, gain, shift, eps: float = 1e-5) -> Tensor:
-    """Per-vector zero-mean unit-variance normalization along the last axis."""
+def layer_norm(x, gain, shift) -> Tensor:
+    """Per-vector zero-mean unit-variance normalization along the last axis.
+
+    The variance is floored by adding 1e-5 before the square root.
+    """
     x = as_tensor(x)
     if x.data.shape[-1] < 2:
         raise DimensionMismatchError(
             f"layer_norm needs a trailing extent >= 2, got {x.data.shape[-1]}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     mu = mean(x, axis=-1, keepdims=True)
     xc = sub(x, mu)
     var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    xhat = div(xc, sqrt(add(var, eps)))
+    xhat = div(xc, sqrt(add(var, 1e-5)))
     return add(mul(xhat, gain), shift)
 
 

@@ -1,8 +1,11 @@
 """Strict JSON run configuration shared by every CLI command.
 
-Every key has a documented default; unknown keys are rejected by name.  The
-resolved configuration (defaults filled in) is hashed so that every output
-file can state exactly which settings produced it.
+Each default is written once, on the dataclass it configures, and
+`DEFAULT_CONFIG` is derived from them; only `metrics.fpr_limits` has no
+dataclass and is written here.  Unknown keys are rejected by name, and every
+value must have its default's JSON type.  The resolved configuration
+(defaults filled in) is hashed so that every output file can state exactly
+which settings produced it.
 """
 
 from __future__ import annotations
@@ -10,14 +13,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .losses import LossWeights
-from .model import ModelDims
-from .octa import DEFAULT_STATES, DEFAULT_TEMPLATES, PromptCatalog
+from .model import MAPPER_GACM, MAPPER_MLP, ModelDims
+from .octa import PromptCatalog
 from .scoring import FusionWeights
-from .synthdata import DEFAULT_CLASSES, SynthConfig
+from .synthdata import SynthConfig
 from .trainer import TrainConfig
 
 
@@ -25,72 +28,61 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_CONFIG: dict = {
-    "seed": 7,
-    "data": {
-        "classes": list(DEFAULT_CLASSES),
-        "n_train": 64,
-        "n_test": 32,
-        "height": 16,
-        "width": 16,
-        "d_latent": 4,
-        "d_rgb": 12,
-        "d_3d": 18,
-        "smoothness": 2,
-        "noise_sigma": 0.02,
-        "border": 1,
-        "area_frac_min": 0.02,
-        "area_frac_max": 0.15,
-        "corrupt_modality": "3d",
-    },
-    "model": {
-        "d_text": 16,
-        "n_experts": 4,
-        "top_k": 2,
-        "dropout_rate": 0.1,
-        "mapper": "gacm",
-    },
-    "train": {
-        "steps": 200,
-        "batch_size": 8,
-        # calibrated on the reference benchmark run: at the 200-step budget the
-        # cross-modal mapping needs this step size to converge on one CPU core
-        "learning_rate": 2e-2,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "lambda_v2g": 1.0,
-        "lambda_g2v": 1.0,
-        "lambda_v2t": 1.0,
-        "lambda_g2t": 1.0,
-    },
-    "fusion": {"alpha": 0.5, "beta": 0.5},
-    "metrics": {"fpr_limits": [0.30, 0.01]},
-    "prompts": {
-        "states": list(DEFAULT_STATES),
-        "templates": list(DEFAULT_TEMPLATES),
-    },
-}
+def _default_config() -> dict:
+    train = asdict(TrainConfig())
+    weights = train.pop("loss_weights")
+    model = asdict(ModelDims())
+    del model["d_rgb"], model["d_3d"]  # the data section sets the feature widths
+    return {
+        "seed": train.pop("seed"),
+        "data": asdict(SynthConfig()),
+        "model": {**model, "mapper": MAPPER_GACM},
+        "train": {**train, **weights},
+        "fusion": asdict(FusionWeights()),
+        "metrics": {"fpr_limits": [0.30, 0.01]},
+        "prompts": asdict(PromptCatalog()),
+    }
 
 
-def _merge_strict(defaults: dict, overrides: dict, path: str = "") -> dict:
-    out = copy.deepcopy(defaults)
-    for key, value in overrides.items():
-        here = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {here}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {here} must be an object")
-            out[key] = _merge_strict(defaults[key], value, here)
-        else:
-            out[key] = value
-    return out
+DEFAULT_CONFIG: dict = _default_config()
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def _strict(default, value, here: str, partial: bool):
+    """`value` checked against `default`'s JSON type; an int stands for a float.
+
+    With `partial`, a key missing from an object takes its default.
+    """
+    if type(value) is int and type(default) is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {here} is out of range") from None
+    if type(value) is not type(default):
+        raise ConfigError(f"config key {here or '(root)'} must be "
+                          f"{_JSON_TYPES[type(default)]}, "
+                          f"got {json.dumps(value, default=str)}")
+    if isinstance(default, list):
+        return [_strict(default[0], v, f"{here}[{i}]", partial)
+                for i, v in enumerate(value)]
+    if not isinstance(default, dict):
+        return value
+    prefix = f"{here}." if here else ""
+    for key in value:
+        if key not in default:
+            raise ConfigError(f"unknown config key: {prefix}{key}")
+    for key in default:
+        if key not in value and not partial:
+            raise ConfigError(f"missing config key: {prefix}{key}")
+    return {key: _strict(d, value[key], prefix + key, partial) if key in value
+            else copy.deepcopy(d) for key, d in default.items()}
 
 
 def resolve_config(overrides: dict | None = None,
                    seed_override: int | None = None) -> dict:
-    resolved = _merge_strict(DEFAULT_CONFIG, overrides or {})
+    resolved = _strict(DEFAULT_CONFIG, overrides or {}, "", partial=True)
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
     return resolved
@@ -116,53 +108,32 @@ class RunConfig:
 
 
 def build_run_config(resolved: dict) -> RunConfig:
-    d = resolved["data"]
-    m = resolved["model"]
-    t = resolved["train"]
+    """Check a complete configuration and build each section's dataclass."""
+    raw = _strict(DEFAULT_CONFIG, resolved, "", partial=False)
+    data = SynthConfig(**raw["data"])
+    model = dict(raw["model"])
+    mapper = model.pop("mapper")
+    train = dict(raw["train"])
+    weights = LossWeights(**{f.name: train.pop(f.name) for f in fields(LossWeights)})
+    cfg = RunConfig(raw=raw, hash=config_hash(raw), seed=raw["seed"], data=data,
+                    dims=ModelDims(d_rgb=data.d_rgb, d_3d=data.d_3d, **model),
+                    mapper_kind=mapper,
+                    train=TrainConfig(**train, seed=raw["seed"], loss_weights=weights),
+                    fusion=FusionWeights(**raw["fusion"]),
+                    fpr_limits=raw["metrics"]["fpr_limits"],
+                    catalog=PromptCatalog(**raw["prompts"]))
     try:
-        data = SynthConfig(
-            classes=list(d["classes"]), n_train=int(d["n_train"]),
-            n_test=int(d["n_test"]), height=int(d["height"]),
-            width=int(d["width"]), d_latent=int(d["d_latent"]),
-            d_rgb=int(d["d_rgb"]), d_3d=int(d["d_3d"]),
-            smoothness=int(d["smoothness"]), noise_sigma=float(d["noise_sigma"]),
-            border=int(d["border"]), area_frac_min=float(d["area_frac_min"]),
-            area_frac_max=float(d["area_frac_max"]),
-            corrupt_modality=str(d["corrupt_modality"]))
-        data.validate()
-        dims = ModelDims(d_rgb=data.d_rgb, d_3d=data.d_3d,
-                         d_text=int(m["d_text"]), n_experts=int(m["n_experts"]),
-                         top_k=int(m["top_k"]),
-                         dropout_rate=float(m["dropout_rate"]))
-        weights = LossWeights(lambda_v2g=float(t["lambda_v2g"]),
-                              lambda_g2v=float(t["lambda_g2v"]),
-                              lambda_v2t=float(t["lambda_v2t"]),
-                              lambda_g2t=float(t["lambda_g2t"]))
-        train = TrainConfig(steps=int(t["steps"]), batch_size=int(t["batch_size"]),
-                            learning_rate=float(t["learning_rate"]),
-                            adam_beta1=float(t["adam_beta1"]),
-                            adam_beta2=float(t["adam_beta2"]),
-                            adam_eps=float(t["adam_eps"]),
-                            seed=int(resolved["seed"]), loss_weights=weights)
-        train.validate()
-        fusion = FusionWeights(alpha=float(resolved["fusion"]["alpha"]),
-                               beta=float(resolved["fusion"]["beta"]))
-        fusion.validate()
-        limits = [float(x) for x in resolved["metrics"]["fpr_limits"]]
-        for lim in limits:
+        for section in (cfg.data, cfg.dims, cfg.train, cfg.fusion, cfg.catalog):
+            section.validate()
+        for lim in cfg.fpr_limits:
             if not 0.0 < lim <= 1.0:
                 raise ValueError(f"fpr limit {lim} out of (0, 1]")
-        catalog = PromptCatalog(states=list(resolved["prompts"]["states"]),
-                                templates=list(resolved["prompts"]["templates"]))
-        mapper = str(m["mapper"])
-        if mapper not in ("gacm", "mlp"):
-            raise ValueError(f"model.mapper must be 'gacm' or 'mlp', got {mapper!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+        if mapper not in (MAPPER_GACM, MAPPER_MLP):
+            raise ValueError(f"model.mapper must be {MAPPER_GACM!r} or "
+                             f"{MAPPER_MLP!r}, got {mapper!r}")
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(raw=resolved, hash=config_hash(resolved),
-                     seed=int(resolved["seed"]), data=data, dims=dims,
-                     mapper_kind=mapper, train=train, fusion=fusion,
-                     fpr_limits=limits, catalog=catalog)
+    return cfg
 
 
 def load_config(path=None, seed_override: int | None = None) -> RunConfig:
@@ -174,7 +145,7 @@ def load_config(path=None, seed_override: int | None = None) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         try:
             overrides = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers too long to convert
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ConfigError("config root must be a JSON object")

@@ -23,9 +23,6 @@ from .autograd import (
     sub,
 )
 
-LN_EPS = 1e-5
-
-
 def _init_linear(store: ParameterStore, prefix: str, d_in: int, d_out: int,
                  rng: np.random.Generator) -> LinearParams:
     bound = 1.0 / np.sqrt(d_in)
@@ -46,22 +43,21 @@ def _init_identity_linear(store: ParameterStore, prefix: str, d_in: int,
 
 
 class GacmParams:
-    """All trainable tensors of the mapper, registered under `prefix` in `store`."""
+    """All trainable tensors of the mapper, registered under "gacm." in `store`."""
 
     def __init__(self, store: ParameterStore, d_rgb: int, d_3d: int,
-                 rng: np.random.Generator, prefix: str = "gacm",
-                 zero_branches: bool = False):
+                 rng: np.random.Generator, zero_branches: bool = False):
         self.d_rgb = d_rgb
         self.d_3d = d_3d
-        self.phi_s = _init_linear(store, f"{prefix}.phi_s", d_rgb, d_3d, rng)
-        self.phi_g = _init_linear(store, f"{prefix}.phi_g", d_rgb, d_3d, rng)
-        self.w_gate = _init_linear(store, f"{prefix}.w_gate", d_3d, d_3d, rng)
+        self.phi_s = _init_linear(store, "gacm.phi_s", d_rgb, d_3d, rng)
+        self.phi_g = _init_linear(store, "gacm.phi_g", d_rgb, d_3d, rng)
+        self.w_gate = _init_linear(store, "gacm.w_gate", d_3d, d_3d, rng)
         if zero_branches:  # exact pass-through initialization
             for lin in (self.phi_s, self.phi_g, self.w_gate):
                 lin.weight.data[...] = 0.0
-        self.ln_gain = store.register(f"{prefix}.ln_gain", np.ones(d_3d))
-        self.ln_shift = store.register(f"{prefix}.ln_shift", np.zeros(d_3d))
-        self.residual = _init_identity_linear(store, f"{prefix}.residual", d_rgb, d_3d)
+        self.ln_gain = store.register("gacm.ln_gain", np.ones(d_3d))
+        self.ln_shift = store.register("gacm.ln_shift", np.zeros(d_3d))
+        self.residual = _init_identity_linear(store, "gacm.residual", d_rgb, d_3d)
 
 
 def gacm_bifurcate(f_rgb, p: GacmParams) -> tuple[Tensor, Tensor]:
@@ -90,5 +86,5 @@ def gacm_forward(f_rgb, p: GacmParams) -> Tensor:
     f_sem, f_geo = gacm_bifurcate(f_rgb, p)
     gate = gacm_gate(f_geo, p)
     fused = gacm_fuse(f_sem, f_geo, gate)
-    mimic = gelu(layer_norm(fused, p.ln_gain, p.ln_shift, LN_EPS))
+    mimic = gelu(layer_norm(fused, p.ln_gain, p.ln_shift))
     return add(linear_forward(f_rgb, p.residual), mimic)

@@ -40,21 +40,29 @@ class ModelDims:
     top_k: int = 2
     dropout_rate: float = 0.1
 
+    def validate(self) -> None:
+        if self.d_text < 2:  # the adaptor's final LayerNorm needs two entries
+            raise ValueError(f"d_text must be >= 2, got {self.d_text}")
+        if not 1 <= self.top_k <= self.n_experts:
+            raise ValueError(f"top_k must be in [1, n_experts={self.n_experts}], "
+                             f"got {self.top_k}")
+        if not 0 <= self.dropout_rate < 1:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+
 
 class Model:
     """All trainable components of the head plus the frozen text embedder."""
 
     def __init__(self, dims: ModelDims, seed: int,
                  catalog: PromptCatalog | None = None,
-                 mapper_kind: str = MAPPER_GACM,
-                 embedder_seed: int = 0):
+                 mapper_kind: str = MAPPER_GACM):
         if mapper_kind not in (MAPPER_GACM, MAPPER_MLP):
             raise ValueError(f"unknown mapper kind {mapper_kind!r}")
         self.dims = dims
         self.seed = seed
         self.mapper_kind = mapper_kind
         self.catalog = catalog if catalog is not None else PromptCatalog()
-        self.embedder = HashingEmbedder(dims.d_text, seed=embedder_seed)
+        self.embedder = HashingEmbedder(dims.d_text)
         # frozen prompt embeddings per class name, filled on first use
         self._prompt_embeddings: dict[str, np.ndarray] = {}
         self.store = ParameterStore()

@@ -53,6 +53,10 @@ class PromptCatalog:
     states: list[str] = field(default_factory=lambda: list(DEFAULT_STATES))
     templates: list[str] = field(default_factory=lambda: list(DEFAULT_TEMPLATES))
 
+    def validate(self) -> None:
+        if not self.states or not self.templates:
+            raise ValueError("prompt states and templates must both be nonempty")
+
 
 def build_prompts(class_name: str, catalog: PromptCatalog | None = None) -> list[str]:
     """Expand the catalog grammar for one class; [c] first, then [s]."""
@@ -104,14 +108,14 @@ class MoeParams:
     """E expert MLPs plus a linear gate; only the top-k experts fire per row."""
 
     def __init__(self, store: ParameterStore, d_text: int, n_experts: int, k: int,
-                 rng: np.random.Generator, prefix: str = "moe"):
+                 rng: np.random.Generator):
         if not 1 <= k <= n_experts:
             raise ValueError(f"top-k count {k} out of range [1, {n_experts}]")
         self.d_text = d_text
         self.k = k
-        self.experts = [MlpParams(store, d_text, d_text, rng, f"{prefix}.expert{i}")
+        self.experts = [MlpParams(store, d_text, d_text, rng, f"moe.expert{i}")
                         for i in range(n_experts)]
-        self.gate = _init_linear(store, f"{prefix}.gate", d_text, len(self.experts), rng)
+        self.gate = _init_linear(store, "moe.gate", d_text, len(self.experts), rng)
 
 
 def moe_forward(t_embed, p: MoeParams) -> Tensor:
@@ -145,24 +149,24 @@ class PrototypeParams:
     """Learnable prototype query plus the attention/refinement weights."""
 
     def __init__(self, store: ParameterStore, d_text: int, rng: np.random.Generator,
-                 prefix: str = "proto", dropout_rate: float = 0.1):
+                 dropout_rate: float = 0.1):
         bound = 1.0 / np.sqrt(d_text)
         self.d_text = d_text
         self.scale = float(np.sqrt(d_text))
         self.dropout_rate = dropout_rate
         self.prototype = store.register(
-            f"{prefix}.prototype", rng.uniform(-bound, bound, size=(1, d_text)))
+            "proto.prototype", rng.uniform(-bound, bound, size=(1, d_text)))
         # bias-free query/key/value projections
-        self.wq = store.register(f"{prefix}.wq",
+        self.wq = store.register("proto.wq",
                                  rng.uniform(-bound, bound, size=(d_text, d_text)))
-        self.wk = store.register(f"{prefix}.wk",
+        self.wk = store.register("proto.wk",
                                  rng.uniform(-bound, bound, size=(d_text, d_text)))
-        self.wv = store.register(f"{prefix}.wv",
+        self.wv = store.register("proto.wv",
                                  rng.uniform(-bound, bound, size=(d_text, d_text)))
-        self.post_mlp = MlpParams(store, d_text, d_text, rng, f"{prefix}.post_mlp")
-        self.ffn = MlpParams(store, d_text, d_text, rng, f"{prefix}.ffn")
-        self.final_ln_gain = store.register(f"{prefix}.final_ln_gain", np.ones(d_text))
-        self.final_ln_shift = store.register(f"{prefix}.final_ln_shift", np.zeros(d_text))
+        self.post_mlp = MlpParams(store, d_text, d_text, rng, "proto.post_mlp")
+        self.ffn = MlpParams(store, d_text, d_text, rng, "proto.ffn")
+        self.final_ln_gain = store.register("proto.final_ln_gain", np.ones(d_text))
+        self.final_ln_shift = store.register("proto.final_ln_shift", np.zeros(d_text))
 
 
 def prototype_attention(t_hat, p: PrototypeParams, n_classes: int = 1) -> Tensor:

@@ -12,12 +12,9 @@ class MlpParams:
     """Two affine layers with a GELU in between: D_in -> D_hidden -> D_out."""
 
     def __init__(self, store: ParameterStore, d_in: int, d_out: int,
-                 rng: np.random.Generator, prefix: str,
-                 d_hidden: int | None = None):
-        if d_hidden is None:
-            d_hidden = max(d_in, d_out)
+                 rng: np.random.Generator, prefix: str):
         self.d_in = d_in
-        self.d_hidden = d_hidden
+        self.d_hidden = d_hidden = max(d_in, d_out)
         self.d_out = d_out
         self.layer1 = _init_linear(store, f"{prefix}.layer1", d_in, d_hidden, rng)
         self.layer2 = _init_linear(store, f"{prefix}.layer2", d_hidden, d_out, rng)

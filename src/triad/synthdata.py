@@ -46,6 +46,10 @@ class SynthConfig:
     def validate(self) -> None:
         if not self.classes:
             raise ValueError("at least one class is required")
+        if not all(self.classes):
+            raise ValueError("class names must be nonempty")
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError(f"duplicate class names in {self.classes}")
         if self.n_train < 1 or self.n_test < 2:
             raise ValueError("invalid sample counts")
         if self.height < 4 or self.width < 4:

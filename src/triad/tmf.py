@@ -74,23 +74,19 @@ def canonical_json(obj) -> bytes:
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], step: int, seed: int,
-                    config_hash: str, config: dict,
-                    dtype: str = "f64") -> None:
-    if dtype not in ("f32", "f64"):
-        raise TmfFormatError(f"checkpoint dtype must be 'f32' or 'f64', got {dtype!r}")
-    np_dtype = np.float32 if dtype == "f32" else np.float64
+                    config_hash: str, config: dict) -> None:
     blocks: list[bytes] = []
     offsets: dict[str, int] = {}
     pos = 0
     for name, arr in arrays.items():
-        block = tensor_bytes(np.asarray(arr).astype(np_dtype))
+        block = tensor_bytes(np.asarray(arr).astype(np.float64))
         offsets[name] = pos
         pos += len(block)
         blocks.append(block)
     header = canonical_json({
         "names": list(arrays),
         "shapes": {n: list(np.asarray(a).shape) for n, a in arrays.items()},
-        "dtype": dtype,
+        "dtype": "f64",
         "offsets": offsets,
         "step": step,
         "seed": seed,

@@ -30,7 +30,9 @@ class TrainingContractError(ValueError):
 class TrainConfig:
     steps: int = 200
     batch_size: int = 8
-    learning_rate: float = 1e-3
+    # calibrated on the reference benchmark run: at the 200-step budget the
+    # cross-modal mapping needs this step size to converge on one CPU core
+    learning_rate: float = 2e-2
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from triad.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from triad.tmf import load_checkpoint, read_tensor, write_tensor
+from triad.tmf import load_checkpoint, read_tensor, save_checkpoint, write_tensor
 
 SMALL_OVERRIDES = {
     "data": {"classes": ["bagel"], "n_train": 4, "n_test": 4,
@@ -261,7 +261,6 @@ def test_eval_single_label_test_class_exits_4(tmp_path, data_dir, checkpoint,
 
 def test_checkpoint_missing_a_parameter_exits_3(tmp_path, data_dir, checkpoint,
                                                 capsys):
-    from triad.tmf import save_checkpoint
     ck = load_checkpoint(checkpoint)
     arrays = dict(ck["arrays"])
     arrays.pop(sorted(arrays)[0])
@@ -293,10 +292,25 @@ def _nan_at_valid_pixel(sdir):
     _set_nan(sdir / "f_rgb.tmf", (r, c, 0))
 
 
-def _bad_config(ctx):
-    bad = ctx.tmp / "bad.json"
-    bad.write_text('{"train": {"step_count": 5}}')
-    return str(bad)
+# the arguments each command takes after its --config option
+_AFTER_CONFIG = {
+    "gen-data": lambda ctx: ["--out", str(ctx.tmp / "d")],
+    "train": lambda ctx: ["--data", ctx.data, "--out", str(ctx.tmp / "new.ckpt")],
+    "gradcheck": lambda ctx: [],
+}
+
+
+def _bad_config(command, overrides):
+    """argv running `command` with the small config, each section updated by
+    `overrides`."""
+    def make_argv(ctx):
+        cfg = {section: dict(values) for section, values in SMALL_OVERRIDES.items()}
+        for section, values in overrides.items():
+            cfg.setdefault(section, {}).update(values)
+        bad = ctx.tmp / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        return [command, "--config", str(bad), *_AFTER_CONFIG[command](ctx)]
+    return make_argv
 
 
 def _train_argv(ctx):
@@ -335,6 +349,15 @@ def _train_anomalous_sample(ctx):
     manifest["samples"][0]["is_anomalous"] = True
     path.write_text(json.dumps(manifest))
     return _train_argv(ctx)
+
+
+def _eval_header_classes_not_a_list(ctx):
+    ck = load_checkpoint(ctx.ckpt)
+    ck["config"]["data"]["classes"] = "bagel"
+    ctx.ckpt = str(ctx.tmp / "bad.ckpt")
+    save_checkpoint(ctx.ckpt, ck["arrays"], ck["step"], ck["seed"],
+                    ck["config_hash"], ck["config"])
+    return _eval_argv(ctx)
 
 
 def _eval_nan_at_valid_pixel(ctx):
@@ -379,8 +402,27 @@ def _gradcheck_exceeds_tolerance(ctx):
 
 EXIT_CODE_TABLE = [
     ("gen-data-unknown-config-key",
-     lambda ctx: ["gen-data", "--config", _bad_config(ctx),
-                  "--out", str(ctx.tmp / "d")], EXIT_CONFIG),
+     _bad_config("gen-data", {"train": {"step_count": 5}}), EXIT_CONFIG),
+    ("gen-data-classes-not-a-list",
+     _bad_config("gen-data", {"data": {"classes": "bagel"}}), EXIT_CONFIG),
+    ("gen-data-empty-class-name",
+     _bad_config("gen-data", {"data": {"classes": [""]}}), EXIT_CONFIG),
+    ("gen-data-duplicate-class-names",
+     _bad_config("gen-data", {"data": {"classes": ["bagel", "bagel"]}}), EXIT_CONFIG),
+    ("train-prompt-states-not-a-list",
+     _bad_config("train", {"prompts": {"states": "[c]"}}), EXIT_CONFIG),
+    ("train-no-prompt-states",
+     _bad_config("train", {"prompts": {"states": []}}), EXIT_CONFIG),
+    ("train-steps-boolean",
+     _bad_config("train", {"train": {"steps": True}}), EXIT_CONFIG),
+    ("train-top-k-above-experts",
+     _bad_config("train", {"model": {"top_k": 9}}), EXIT_CONFIG),
+    ("train-no-experts",
+     _bad_config("train", {"model": {"n_experts": 0}}), EXIT_CONFIG),
+    ("train-text-width-one",
+     _bad_config("train", {"model": {"d_text": 1}}), EXIT_CONFIG),
+    ("train-dropout-above-one",
+     _bad_config("train", {"model": {"dropout_rate": 1.5}}), EXIT_CONFIG),
     ("gen-data-unwritable-out", _gen_data_unwritable, EXIT_IO),
     ("train-missing-dataset",
      lambda ctx: ["train", "--config", ctx.cfg, "--data", str(ctx.tmp / "none"),
@@ -389,6 +431,7 @@ EXIT_CODE_TABLE = [
     ("train-nan-in-train-sample", _train_nan_sample, EXIT_VALIDATION),
     ("train-anomalous-train-sample", _train_anomalous_sample, EXIT_VALIDATION),
     ("train-feature-width-mismatch", _train_width_mismatch, EXIT_VALIDATION),
+    ("eval-header-classes-not-a-list", _eval_header_classes_not_a_list, EXIT_CONFIG),
     ("eval-nan-at-valid-pixel", _eval_nan_at_valid_pixel, EXIT_VALIDATION),
     ("eval-gt-grid-mismatch", _eval_gt_grid_mismatch, EXIT_VALIDATION),
     ("eval-feature-width-mismatch", _eval_width_mismatch, EXIT_VALIDATION),
@@ -400,7 +443,7 @@ EXIT_CODE_TABLE = [
     ("infer-missing-sample",
      lambda ctx: _infer_argv(ctx, ctx.tmp / "none"), EXIT_IO),
     ("gradcheck-unknown-config-key",
-     lambda ctx: ["gradcheck", "--config", _bad_config(ctx)], EXIT_CONFIG),
+     _bad_config("gradcheck", {"train": {"step_count": 5}}), EXIT_CONFIG),
     ("gradcheck-exceeds-tolerance", _gradcheck_exceeds_tolerance, EXIT_VALIDATION),
 ]
 

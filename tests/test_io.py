@@ -1,5 +1,7 @@
 """Tests for tensor/checkpoint persistence, dataset folders, and config resolution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from triad.tmf import (
     write_pgm,
     write_tensor,
 )
+from triad.trainer import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -109,30 +112,13 @@ def test_checkpoint_roundtrip_f64(tmp_path):
         np.testing.assert_array_equal(ck["arrays"][name], arr)
 
 
-def test_checkpoint_f32_quantizes(tmp_path):
-    arrays = _arrays(1)
-    p = tmp_path / "ck.tmf"
-    save_checkpoint(p, arrays, step=0, seed=0, config_hash="h", config={},
-                    dtype="f32")
-    ck = load_checkpoint(p)
-    for name, arr in arrays.items():
-        np.testing.assert_array_equal(ck["arrays"][name],
-                                      arr.astype(np.float32))
-
-
-def test_checkpoint_bad_dtype_rejected(tmp_path):
-    with pytest.raises(TmfFormatError):
-        save_checkpoint(tmp_path / "x", _arrays(), 0, 0, "h", {}, dtype="f16")
-
-
 def test_checkpoint_load_save_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.tmf", tmp_path / "b.tmf"
     save_checkpoint(p1, _arrays(2), step=3, seed=5, config_hash="deadbeef",
                     config={"seed": 5})
     ck = load_checkpoint(p1)
     save_checkpoint(p2, ck["arrays"], step=ck["step"], seed=ck["seed"],
-                    config_hash=ck["config_hash"], config=ck["config"],
-                    dtype=ck["dtype"])
+                    config_hash=ck["config_hash"], config=ck["config"])
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -282,6 +268,42 @@ def test_config_hash_stable_and_key_order_free():
     assert config_hash({"a": 2, "b": 2}) != h1
 
 
+def test_default_config_hash_pinned():
+    # the defaults are derived from the dataclasses; this pins their values
+    assert config_hash(resolve_config()) == (
+        "e232b9d4d1caec294eb932d69db991f01d57458729909f90c4e31395b4bf7cd0")
+
+
+def test_train_config_defaults_are_the_run_defaults():
+    rc = build_run_config(resolve_config())
+    assert replace(TrainConfig(), seed=rc.train.seed) == rc.train
+
+
+def test_config_values_must_have_their_default_json_type():
+    for bad in ({"data": {"n_train": "64"}}, {"data": {"n_train": 64.0}},
+                {"train": {"steps": True}}, {"fusion": {"alpha": False}},
+                {"data": {"classes": "bagel"}}, {"data": {"classes": ["a", 1]}},
+                {"metrics": {"fpr_limits": [0.3, "0.1"]}}, {"model": 4}):
+        with pytest.raises(ConfigError, match="must be"):
+            resolve_config(bad)
+    over = resolve_config({"fusion": {"alpha": 1}, "metrics": {"fpr_limits": [1]}})
+    assert type(over["fusion"]["alpha"]) is float
+    assert type(over["metrics"]["fpr_limits"][0]) is float
+    rc = build_run_config(over)
+    assert type(rc.fusion.alpha) is float and rc.fpr_limits == [1.0]
+
+
+def test_build_run_config_checks_a_complete_config():
+    # a checkpoint header's config gets the same checks as a config file
+    header = resolve_config()
+    header["train"]["steps"] = True
+    with pytest.raises(ConfigError, match="train.steps"):
+        build_run_config(header)
+    del header["train"]["steps"]
+    with pytest.raises(ConfigError, match="missing config key: train.steps"):
+        build_run_config(header)
+
+
 def test_build_run_config_defaults():
     rc = build_run_config(resolve_config())
     assert rc.seed == 7
@@ -300,6 +322,12 @@ def test_build_run_config_rejects_bad_values():
         build_run_config(resolve_config({"metrics": {"fpr_limits": [0.0]}}))
     with pytest.raises(ConfigError):
         build_run_config(resolve_config({"data": {"height": 2}}))
+    for bad in ({"prompts": {"states": []}}, {"prompts": {"templates": []}},
+                {"model": {"d_text": 1}}, {"model": {"top_k": 0}},
+                {"model": {"top_k": 5}}, {"model": {"n_experts": 0}},
+                {"model": {"dropout_rate": 1.0}}, {"model": {"dropout_rate": -0.1}}):
+        with pytest.raises(ConfigError):
+            build_run_config(resolve_config(bad))
 
 
 def test_load_config_from_file(tmp_path):
@@ -317,3 +345,8 @@ def test_load_config_from_file(tmp_path):
     arr.write_text("[1,2]")
     with pytest.raises(ConfigError):
         load_config(arr)
+    for digits in (400, 5000):  # beyond float range; beyond int parsing limit
+        big = tmp_path / "big.json"
+        big.write_text('{"fusion": {"alpha": 1%s}}' % ("0" * digits))
+        with pytest.raises(ConfigError):
+            load_config(big)

@@ -15,10 +15,10 @@ from triad.autograd import (
 from triad.projectors import MlpParams, project
 
 
-def _mlp(d_in, d_out, seed=0, d_hidden=None):
+def _mlp(d_in, d_out, seed=0):
     store = ParameterStore()
     rng = np.random.default_rng(seed)
-    return store, MlpParams(store, d_in, d_out, rng, "proj", d_hidden=d_hidden)
+    return store, MlpParams(store, d_in, d_out, rng, "proj")
 
 
 def test_output_width_matches_target():
@@ -33,8 +33,6 @@ def test_default_hidden_width_is_max_of_ends():
     assert p.d_hidden == 6
     _, p = _mlp(4, 8)
     assert p.d_hidden == 8
-    _, p = _mlp(3, 7, d_hidden=5)
-    assert p.d_hidden == 5
 
 
 def test_matches_composed_linear_gelu_oracle():

@@ -36,6 +36,10 @@ def test_config_validation():
         _small_cfg(height=3).validate()
     with pytest.raises(ValueError):
         _small_cfg(classes=[]).validate()
+    with pytest.raises(ValueError, match="nonempty"):
+        _small_cfg(classes=["bagel", ""]).validate()
+    with pytest.raises(ValueError, match="duplicate"):
+        _small_cfg(classes=["bagel", "bagel"]).validate()
     with pytest.raises(ValueError):
         _small_cfg(corrupt_modality="text").validate()
     with pytest.raises(ValueError):
