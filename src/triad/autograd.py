@@ -3,14 +3,31 @@
 Every value is a row-major float64 numpy array wrapped in a :class:`Tensor`
 node of a dynamically built computation graph.  Calling ``backward()`` on a
 scalar output accumulates gradients into every reachable node that has
-``requires_grad`` set.  All operations are pure: a node's data is never
-mutated after construction, so graphs are safe to share across threads.
+``requires_grad`` set.
+
+Operations are pure towards their inputs: a forward kernel may work in place
+only on arrays that the node itself created, never on an input's data or on
+another node's arrays, and a node's data is never mutated after
+construction, so graphs are safe to share across threads.
+
+Grad mode is a per-thread flag, on by default.  Inside :func:`no_grad` every
+result is a leaf with no parents and no backward closure, so a forward whose
+graph nobody walks keeps no intermediates alive.  Scoring and the perturbed
+forwards of the finite-difference check run this way.
+
+The layers the model is built from (:func:`linear_forward`,
+:func:`layer_norm`, :func:`cosine_rows`) are one graph node each.  Their
+forwards and backwards run the arithmetic of the equivalent chains of
+elementary nodes in the same order, so values and gradients are those of
+the chains to the last bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+import threading
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -82,31 +99,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # convenience operators; everything routes through the module functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -128,10 +120,28 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no graph in this thread until the block exits (nesting allowed)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -180,45 +190,13 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(data, (a, b), bw)
-
-
-def maximum_scalar(a, c: float) -> Tensor:
-    """Elementwise max(a, c) for a constant c; subgradient routes to `a` at ties."""
-    a = as_tensor(a)
-    data = np.maximum(a.data, c)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data >= c))
-
-    return _make(data, (a,), bw)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.sqrt(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / data)
-
-    return _make(data, (a,), bw)
-
-
 def sigmoid(a) -> Tensor:
+    """1 / (1 + exp(-a)), computed in place on the node's own array."""
     a = as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
+    data = np.negative(a.data, out=np.empty_like(a.data))  # an array even for 0-D
+    np.exp(data, out=data)
+    data += 1.0
+    np.divide(1.0, data, out=data)
 
     def bw(g):
         if a.requires_grad:
@@ -230,7 +208,12 @@ def sigmoid(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard-normal CDF (erf form)."""
     a = as_tensor(a)
-    phi = 0.5 * (1.0 + _erf(a.data * _INV_SQRT2))
+    phi = np.multiply(a.data, _INV_SQRT2, out=np.empty_like(a.data))
+    _erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    if not (_grad_mode.enabled and a.requires_grad):  # no backward will read phi
+        return _make(np.multiply(phi, a.data, out=phi), (a,), None)
     data = a.data * phi
 
     def bw(g):
@@ -258,26 +241,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             gg = np.expand_dims(gg, axis)
         a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
-
-    return _make(data, (a,), bw)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
 
     return _make(data, (a,), bw)
 
@@ -365,30 +328,74 @@ def softmax_row(a) -> Tensor:
 def layer_norm(x, gain, shift) -> Tensor:
     """Per-vector zero-mean unit-variance normalization along the last axis.
 
-    The variance is floored by adding 1e-5 before the square root.
+    The variance is floored by adding 1e-5 before the square root; `gain`
+    and `shift` broadcast against the normalized vectors.  One graph node.
     """
-    x = as_tensor(x)
+    x, gain, shift = as_tensor(x), as_tensor(gain), as_tensor(shift)
     if x.data.shape[-1] < 2:
         raise DimensionMismatchError(
             f"layer_norm needs a trailing extent >= 2, got {x.data.shape[-1]}")
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    xhat = div(xc, sqrt(add(var, 1e-5)))
-    return add(mul(xhat, gain), shift)
+    inv_n = 1.0 / x.data.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    den = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
+    xhat = xc / den
+    data = xhat * gain.data
+    data += shift.data
+
+    def bw(g):
+        if shift.requires_grad:
+            shift._accumulate(_unbroadcast(g, shift.data.shape))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        if not x.requires_grad:
+            return
+        g_xhat = _unbroadcast(g * gain.data, xhat.shape)
+        g_den = _unbroadcast(-g_xhat * xc / (den * den), den.shape)
+        t = g_den * 0.5 / den * inv_n * xc  # each of the two factors of xc * xc
+        g_xc = g_xhat / den + t + t
+        # the centred and the mean paths reach x as two separate terms
+        x._accumulate(g_xc)
+        x._accumulate(np.broadcast_to(
+            _unbroadcast(-g_xc, den.shape) * inv_n, x.data.shape))
+
+    return _make(data, (x, gain, shift), bw)
 
 
 def cosine_rows(a, b, eps: float = 1e-8) -> Tensor:
-    """Row-wise cosine similarity of two (N, D) tensors; eps clamps norms."""
+    """Row-wise cosine similarity of two (N, D) tensors; eps clamps norms.
+
+    One graph node.  The squared norms are clamped at eps**2 before the
+    root, so a zero row's gradient is 0, not 0/0.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
         raise DimensionMismatchError(
             f"cosine_rows shapes differ: {a.data.shape} vs {b.data.shape}")
-    dot = tensor_sum(mul(a, b), axis=-1)
-    # clamp the squared norm before the root, so a zero row's gradient is 0, not 0/0
-    na = sqrt(maximum_scalar(tensor_sum(mul(a, a), axis=-1), eps * eps))
-    nb = sqrt(maximum_scalar(tensor_sum(mul(b, b), axis=-1), eps * eps))
-    return div(dot, mul(na, nb))
+    eps2 = eps * eps
+    dot = (a.data * b.data).sum(axis=-1)
+    sq_a = (a.data * a.data).sum(axis=-1)
+    sq_b = (b.data * b.data).sum(axis=-1)
+    na = np.sqrt(np.maximum(sq_a, eps2))
+    nb = np.sqrt(np.maximum(sq_b, eps2))
+    den = na * nb
+    data = dot / den
+
+    def bw(g):
+        g_dot = np.expand_dims(g / den, -1)
+        g_den = -g * dot / (den * den)
+        # the chain's order: both dot terms, then each input's two squared-norm
+        # terms (the same tensor may be both inputs)
+        if a.requires_grad:
+            a._accumulate(g_dot * b.data)
+        if b.requires_grad:
+            b._accumulate(g_dot * a.data)
+        for v, sq, own, other in ((a, sq_a, na, nb), (b, sq_b, nb, na)):
+            if v.requires_grad:
+                t = np.expand_dims(g_den * other * 0.5 / own * (sq >= eps2), -1) * v.data
+                v._accumulate(t)
+                v._accumulate(t)
+
+    return _make(data, (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +456,28 @@ class LinearParams:
 
 
 def linear_forward(x, p: LinearParams) -> Tensor:
-    """y = x @ W + b along the last axis of x."""
+    """y = x @ W + b along the last axis of x, as one graph node."""
     x = as_tensor(x)
     if x.data.shape[-1] != p.d_in:
         raise DimensionMismatchError(
             f"linear_forward input extent {x.data.shape[-1]} != weight extent {p.d_in}")
-    orig = x.data.shape
-    flat = reshape(x, (-1, p.d_in)) if x.data.ndim != 2 else x
-    out = add(matmul(flat, p.weight), p.bias)
+    w, bias = p.weight, p.bias
+    flat = x.data.reshape(-1, p.d_in) if x.data.ndim != 2 else x.data
+    data = flat @ w.data
+    data += bias.data
     if x.data.ndim != 2:
-        out = reshape(out, orig[:-1] + (p.d_out,))
-    return out
+        data = data.reshape(x.data.shape[:-1] + (p.d_out,))
+
+    def bw(g):
+        g = g.reshape(flat.shape[0], p.d_out)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            x._accumulate((g @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w._accumulate(flat.T @ g)
+
+    return _make(data, (x, w, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +526,11 @@ def finite_diff_gradient_check(objective: Callable[[], Tensor],
         num = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + epsilon
-            f_plus = float(objective().data)
-            flat[i] = orig - epsilon
-            f_minus = float(objective().data)
+            with no_grad():  # only the values of the perturbed forwards are read
+                flat[i] = orig + epsilon
+                f_plus = float(objective().data)
+                flat[i] = orig - epsilon
+                f_minus = float(objective().data)
             flat[i] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise NonFiniteError(

@@ -131,6 +131,9 @@ def build_run_config(resolved: dict) -> RunConfig:
         if mapper not in (MAPPER_GACM, MAPPER_MLP):
             raise ValueError(f"model.mapper must be {MAPPER_GACM!r} or "
                              f"{MAPPER_MLP!r}, got {mapper!r}")
+        if mapper == MAPPER_GACM and data.d_3d < 2:  # the mapper's LayerNorm
+            raise ValueError(f"data.d_3d must be >= 2 with the {MAPPER_GACM!r} "
+                             f"mapper, got {data.d_3d}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autograd import no_grad
 from .metrics import BinaryLabeledScores, auroc, aupro, pixel_auroc, pro_curve
 from .model import Model
 from .oracles import auroc_pair_counting, aupro_exhaustive, pro_points_exhaustive
@@ -33,9 +34,10 @@ def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
             f"feature grids {sample.f_rgb.shape[:-1]} and {sample.f_3d.shape[:-1]} "
             f"do not match the mask grid {grid}")
     h, w = grid
-    feats = model.forward_sample(sample.f_rgb, sample.f_3d)
-    if anchor is None:
-        anchor = model.text_anchor(sample.class_name, mode="eval").data
+    with no_grad():
+        feats = model.forward_sample(sample.f_rgb, sample.f_3d)
+        if anchor is None:
+            anchor = model.text_anchor(sample.class_name, mode="eval").data
     grids = {k: feats[k].data.reshape(h, w, -1)
              for k in ("f_rgb", "f_3d", "f_rgb_to_3d", "f_3d_to_rgb",
                        "f_rgb_to_text", "f_3d_to_text")}
@@ -52,7 +54,8 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
              oracle_tolerance: float = 1e-6) -> dict:
     """Per-class and averaged I-AUROC, P-AUROC, and AUPRO at each limit."""
     classes = sorted({s.class_name for s in test_samples})
-    anchors = {c: model.text_anchor(c, mode="eval").data for c in classes}
+    with no_grad():
+        anchors = {c: model.text_anchor(c, mode="eval").data for c in classes}
     per_class: dict[str, dict] = {}
     counts: dict[str, int] = {}
     for cname in classes:

@@ -54,6 +54,9 @@ class SynthConfig:
             raise ValueError("invalid sample counts")
         if self.height < 4 or self.width < 4:
             raise ValueError("grid extents must be >= 4")
+        if not 0 <= 2 * self.border < min(self.height, self.width):
+            raise ValueError(f"border {self.border} must be >= 0 and leave a valid "
+                             f"pixel on the {self.height}x{self.width} grid")
         if self.corrupt_modality not in ("3d", "rgb"):
             raise ValueError(f"corrupt_modality must be '3d' or 'rgb', "
                              f"got {self.corrupt_modality!r}")

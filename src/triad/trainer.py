@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and >= 0")
         if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
             raise ValueError("Adam betas must be in [0, 1)")
+        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         self.loss_weights.validate()
 
 

@@ -1,7 +1,13 @@
 """Tests for the dense-tensor primitives and the gradient-check harness."""
 
+import contextlib
+import itertools
+import math
+import threading
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from triad.autograd import (
     DimensionMismatchError,
@@ -9,22 +15,22 @@ from triad.autograd import (
     NonFiniteError,
     ParameterStore,
     Tensor,
+    _make,
+    _unbroadcast,
     add,
+    as_tensor,
     column,
     cosine_rows,
-    div,
     finite_diff_gradient_check,
     gather_rows,
     gelu,
     layer_norm,
     linear_forward,
     matmul,
-    maximum_scalar,
-    mean,
     mul,
+    no_grad,
     sigmoid,
     softmax_row,
-    sqrt,
     sub,
     tensor_sum,
     transpose,
@@ -225,7 +231,7 @@ def test_linear_layer_mean_square_gradcheck():
 
     def objective():
         diff = sub(linear_forward(Tensor(x), p), Tensor(target))
-        return mean(mul(diff, diff))
+        return mul(tensor_sum(mul(diff, diff)), 1.0 / diff.data.size)
 
     report = finite_diff_gradient_check(objective, store)
     assert report.max_relative_error <= 1e-6, report
@@ -247,7 +253,7 @@ def test_nonfinite_objective_raises():
     t = store.register("w", np.ones(2))
 
     def objective():
-        return tensor_sum(div(t, 0.0))
+        return tensor_sum(mul(t, np.inf))
 
     with pytest.raises(NonFiniteError):
         finite_diff_gradient_check(objective, store)
@@ -261,21 +267,24 @@ def test_every_op_gradcheck(seed):
     a = store.register("a", rng.standard_normal((3, 4)) + 0.5)
     b = store.register("b", rng.standard_normal((3, 4)) + 0.5)
     w = store.register("w", rng.standard_normal((4, 4)))
+    lin = LinearParams(store.register("lin.weight", rng.standard_normal((4, 4))),
+                       store.register("lin.bias", rng.standard_normal(4)))
     gain = store.register("gain", 1.0 + 0.1 * rng.standard_normal(4))
     shift = store.register("shift", 0.1 * rng.standard_normal(4))
 
     def build():
-        h = add(mul(a, b), div(b, 2.0))
+        h = add(mul(a, b), mul(b, 0.5))
         h = sub(h, mul(a, 0.25))
         h = matmul(h, w)
         h = add(gelu(h), sigmoid(h))
-        h = add(h, sqrt(maximum_scalar(h, 0.5)))
+        h = linear_forward(h, lin)
         h = layer_norm(h, gain, shift)
         h = softmax_row(h)
         h = transpose(h)
         h = gather_rows(h, np.array([0, 2, 2]))
+        h = add(h, column(h, 1))
         sims = cosine_rows(h, add(h, b.data[:, :3].T * 0 + 1.0))
-        return add(tensor_sum(h), mean(sims))
+        return add(tensor_sum(h), tensor_sum(sims))
 
     report = finite_diff_gradient_check(_linear_objective(build, store, seed + 50),
                                         store)
@@ -289,3 +298,246 @@ def test_parameter_store_rejects_duplicates():
         store.register("w", np.zeros(2))
     assert store.names() == ["w"]
     assert "w" in store and len(store) == 1
+
+
+# ---------------------------------------------------------------------------
+# fused layer nodes against the chains of elementary nodes they replace
+#
+# Literal copies of the elementary ops and of the composite layers built from
+# them.  The fused nodes must give these values and gradients to the last bit.
+
+
+def _ref_mean(a, axis=None, keepdims=False):
+    a = as_tensor(a)
+    if axis is None:
+        n = a.data.size
+    else:
+        n = a.data.shape[axis]
+    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def _ref_div(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data / b.data
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return _make(data, (a, b), bw)
+
+
+def _ref_maximum_scalar(a, c):
+    a = as_tensor(a)
+    data = np.maximum(a.data, c)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g * (a.data >= c))
+
+    return _make(data, (a,), bw)
+
+
+def _ref_sqrt(a):
+    a = as_tensor(a)
+    data = np.sqrt(a.data)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g * 0.5 / data)
+
+    return _make(data, (a,), bw)
+
+
+def _ref_reshape(a, shape):
+    a = as_tensor(a)
+    data = a.data.reshape(shape)
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.data.shape))
+
+    return _make(data, (a,), bw)
+
+
+def _ref_layer_norm(x, gain, shift):
+    x = as_tensor(x)
+    mu = _ref_mean(x, axis=-1, keepdims=True)
+    xc = sub(x, mu)
+    var = _ref_mean(mul(xc, xc), axis=-1, keepdims=True)
+    xhat = _ref_div(xc, _ref_sqrt(add(var, 1e-5)))
+    return add(mul(xhat, gain), shift)
+
+
+def _ref_cosine_rows(a, b, eps=1e-8):
+    a, b = as_tensor(a), as_tensor(b)
+    dot = tensor_sum(mul(a, b), axis=-1)
+    na = _ref_sqrt(_ref_maximum_scalar(tensor_sum(mul(a, a), axis=-1), eps * eps))
+    nb = _ref_sqrt(_ref_maximum_scalar(tensor_sum(mul(b, b), axis=-1), eps * eps))
+    return _ref_div(dot, mul(na, nb))
+
+
+def _ref_linear_forward(x, p):
+    x = as_tensor(x)
+    orig = x.data.shape
+    flat = _ref_reshape(x, (-1, p.d_in)) if x.data.ndim != 2 else x
+    out = add(matmul(flat, p.weight), p.bias)
+    if x.data.ndim != 2:
+        out = _ref_reshape(out, orig[:-1] + (p.d_out,))
+    return out
+
+
+def _linear_args(x, w, b):
+    return x, LinearParams(w, b)
+
+
+def _fused_cases(rng):
+    """(name, fused op, reference op, argument packer, argument arrays) for
+    every fused layer."""
+    zero_row = rng.standard_normal((6, 5))
+    zero_row[2] = 0.0
+    return [
+        ("linear-2d", linear_forward, _ref_linear_forward, _linear_args,
+         [rng.standard_normal((7, 4)), rng.standard_normal((4, 3)),
+          rng.standard_normal(3)]),
+        ("linear-3d", linear_forward, _ref_linear_forward, _linear_args,
+         [rng.standard_normal((2, 5, 4)), rng.standard_normal((4, 3)),
+          rng.standard_normal(3)]),
+        ("linear-1d", linear_forward, _ref_linear_forward, _linear_args,
+         [rng.standard_normal(4), rng.standard_normal((4, 3)), rng.standard_normal(3)]),
+        ("layer-norm-2d", layer_norm, _ref_layer_norm, None,
+         [rng.standard_normal((6, 5)) * 3.0 + 1.0, 1.0 + 0.2 * rng.standard_normal(5),
+          0.1 * rng.standard_normal(5)]),
+        ("layer-norm-3d", layer_norm, _ref_layer_norm, None,
+         [rng.standard_normal((2, 3, 4)), 1.0 + 0.2 * rng.standard_normal(4),
+          0.1 * rng.standard_normal(4)]),
+        ("cosine", cosine_rows, _ref_cosine_rows, None,
+         [rng.standard_normal((6, 5)), rng.standard_normal((6, 5))]),
+        ("cosine-zero-row", cosine_rows, _ref_cosine_rows, None,
+         [zero_row, rng.standard_normal((6, 5))]),
+    ]
+
+
+def _run_layer(op, pack, arrays, probe_seed, other_first):
+    """Values and every gradient of a loss where the layer's first input is a
+    non-leaf that also feeds a second branch of the graph.
+
+    `other_first` puts the second branch's backward before the layer's, so
+    the layer's gradient terms are added to a gradient already there.
+    """
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    first = mul(leaves[0], 1.5)
+    args = [first, *leaves[1:]]
+    out = op(*(pack(*args) if pack else args))
+    rng = np.random.default_rng(probe_seed)
+    terms = [tensor_sum(mul(out, Tensor(rng.standard_normal(out.data.shape)))),
+             tensor_sum(mul(gelu(first), Tensor(rng.standard_normal(first.data.shape))))]
+    loss = add(*(terms[::-1] if other_first else terms))
+    loss.backward()
+    return out.data, loss.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_layers_equal_composite_chains_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for (name, fused, ref, pack, arrays), other_first in itertools.product(
+            _fused_cases(rng), (False, True)):
+        out, loss, grads = _run_layer(fused, pack, arrays, seed + 10, other_first)
+        ref_out, ref_loss, ref_grads = _run_layer(ref, pack, arrays, seed + 10,
+                                                  other_first)
+        assert out.shape == ref_out.shape and (out == ref_out).all(), name
+        assert loss == ref_loss, name
+        for g, rg in zip(grads, ref_grads):
+            assert g.shape == rg.shape and (g == rg).all(), name
+        assert all(np.isfinite(g).all() for g in grads), name
+
+
+def test_fused_layers_build_one_node():
+    rng = np.random.default_rng(0)
+    for name, fused, _, pack, arrays in _fused_cases(rng):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fused(*(pack(*leaves) if pack else leaves))
+        assert out._parents == tuple(leaves), name
+
+
+@pytest.mark.parametrize("name", ["linear-2d", "linear-3d", "layer-norm-2d",
+                                  "layer-norm-3d", "cosine", "cosine-zero-row"])
+def test_fused_layer_central_difference(name):
+    rng = np.random.default_rng(7)
+    case = {c[0]: c for c in _fused_cases(rng)}[name]
+    _, fused, _, pack, arrays = case
+    store = ParameterStore()
+    if name == "cosine-zero-row":
+        # the zero row sits in a constant operand: at a zero row of a
+        # parameter the clamped norm is not differentiable
+        a = store.register("a", arrays[1])
+        args = [Tensor(arrays[0]), a]
+    else:
+        args = [store.register(f"p{i}", arr) for i, arr in enumerate(arrays)]
+
+    def build():
+        return fused(*(pack(*args) if pack else args))
+
+    report = finite_diff_gradient_check(_linear_objective(build, store, 3), store)
+    assert report.max_relative_error <= 1e-6, report
+
+
+def test_gelu_and_sigmoid_in_place_kernels_keep_the_formulas_bits():
+    x = np.random.default_rng(2).standard_normal((5, 7)) * 4.0
+    before = x.copy()
+    want_gelu = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+    want_sigmoid = 1.0 / (1.0 + np.exp(-x))
+    for requires_grad in (True, False):
+        t = Tensor(x, requires_grad=requires_grad)
+        for grad_off in (False, True):
+            with no_grad() if grad_off else contextlib.nullcontext():
+                assert (gelu(t).data == want_gelu).all()
+                assert (sigmoid(t).data == want_sigmoid).all()
+    assert (x == before).all()  # the input array is never written
+
+
+# ---------------------------------------------------------------------------
+# grad mode
+
+
+def test_no_grad_results_are_leaves():
+    store = ParameterStore()
+    p = LinearParams(store.register("w", np.ones((3, 2))), store.register("b", np.ones(2)))
+    x = store.register("x", np.ones((4, 3)))
+    with no_grad():
+        outs = [linear_forward(x, p), layer_norm(x, x.data[0], 0.0), cosine_rows(x, x),
+                gelu(x), sigmoid(x), add(x, x), softmax_row(x)]
+    for out in outs:
+        assert out._parents == () and out._backward is None and not out.requires_grad
+    assert add(x, 1.0)._parents[0] is x  # grad mode is back
+
+
+def test_no_grad_restores_the_mode_after_nesting_and_errors():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert add(x, 1.0).requires_grad
+    with no_grad():
+        with no_grad():
+            pass
+        assert not add(x, 1.0).requires_grad  # the inner exit keeps it off
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("nested")
+        assert not add(x, 1.0).requires_grad
+    assert add(x, 1.0).requires_grad
+
+
+def test_no_grad_is_per_thread():
+    x = Tensor(np.ones(2), requires_grad=True)
+    seen = []
+    with no_grad():
+        worker = threading.Thread(target=lambda: seen.append(add(x, 1.0).requires_grad))
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert not add(x, 1.0).requires_grad
+    assert seen == [True]

@@ -423,6 +423,12 @@ EXIT_CODE_TABLE = [
      _bad_config("train", {"model": {"d_text": 1}}), EXIT_CONFIG),
     ("train-dropout-above-one",
      _bad_config("train", {"model": {"dropout_rate": 1.5}}), EXIT_CONFIG),
+    ("gen-data-border-leaves-no-pixel",
+     _bad_config("gen-data", {"data": {"border": 100}}), EXIT_CONFIG),
+    ("train-gacm-3d-width-one",
+     _bad_config("train", {"data": {"d_3d": 1}}), EXIT_CONFIG),
+    ("train-adam-eps-zero",
+     _bad_config("train", {"train": {"adam_eps": 0.0}}), EXIT_CONFIG),
     ("gen-data-unwritable-out", _gen_data_unwritable, EXIT_IO),
     ("train-missing-dataset",
      lambda ctx: ["train", "--config", ctx.cfg, "--data", str(ctx.tmp / "none"),

@@ -1,8 +1,11 @@
 """Tests for test-set inference and the per-class metrics report."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+import triad.evaluate as ev
 from triad.evaluate import OracleMismatchError, evaluate, infer_maps
 from triad.model import Model, ModelDims
 from triad.scoring import FusionWeights
@@ -36,6 +39,21 @@ def test_infer_maps_deterministic():
     b, sb = infer_maps(model, test[0], FusionWeights())
     np.testing.assert_array_equal(a, b)
     assert sa == sb
+
+
+def test_infer_maps_same_bytes_with_and_without_a_graph(monkeypatch):
+    _, test = _data(classes=("bagel",))
+    model = Model(DIMS, seed=5)
+    anchor = model.text_anchor("bagel").data
+    for s in test:
+        for a in (None, anchor):
+            no_graph = infer_maps(model, s, FusionWeights(), a)
+            with monkeypatch.context() as m:
+                m.setattr(ev, "no_grad", contextlib.nullcontext)
+                graph = infer_maps(model, s, FusionWeights(), a)
+            assert no_graph[0].tobytes() == graph[0].tobytes()
+            assert no_graph[1] == graph[1]
+    assert model.text_anchor("bagel")._parents  # grad mode is on again
 
 
 def test_evaluate_report_structure():

@@ -325,9 +325,13 @@ def test_build_run_config_rejects_bad_values():
     for bad in ({"prompts": {"states": []}}, {"prompts": {"templates": []}},
                 {"model": {"d_text": 1}}, {"model": {"top_k": 0}},
                 {"model": {"top_k": 5}}, {"model": {"n_experts": 0}},
-                {"model": {"dropout_rate": 1.0}}, {"model": {"dropout_rate": -0.1}}):
+                {"model": {"dropout_rate": 1.0}}, {"model": {"dropout_rate": -0.1}},
+                {"data": {"d_3d": 1}}, {"data": {"border": -1}},
+                {"train": {"adam_eps": 0.0}}):
         with pytest.raises(ConfigError):
             build_run_config(resolve_config(bad))
+    # only the gacm mapper's LayerNorm needs two 3D feature entries
+    build_run_config(resolve_config({"data": {"d_3d": 1}, "model": {"mapper": "mlp"}}))
 
 
 def test_load_config_from_file(tmp_path):

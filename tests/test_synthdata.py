@@ -46,6 +46,11 @@ def test_config_validation():
         _small_cfg(area_frac_min=0.3, area_frac_max=0.1).validate()
     with pytest.raises(ValueError):
         _small_cfg(n_test=1).validate()
+    _small_cfg(border=0).validate()
+    _small_cfg(border=4).validate()  # leaves the centre 2x2 of the 10x10 grid
+    for border in (-1, 5):
+        with pytest.raises(ValueError, match="border"):
+            _small_cfg(border=border).validate()
 
 
 def test_default_classes_are_known_object_names():

@@ -49,6 +49,9 @@ def test_train_config_validation():
         TrainConfig(learning_rate=float("nan")).validate()
     with pytest.raises(ValueError):
         TrainConfig(adam_beta1=1.0).validate()
+    for eps in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="adam_eps"):
+            TrainConfig(adam_eps=eps).validate()
 
 
 def test_anomalous_sample_in_batch_rejected():
@@ -310,8 +313,9 @@ def _graph_nodes(root):
     return len(seen)
 
 
-def test_default_config_step_builds_at_most_300_nodes():
-    # one graph per batch: the count does not grow with the batch size
+def test_default_config_step_builds_at_most_180_nodes():
+    # one graph per batch: the count does not grow with the batch size, and
+    # each affine map, LayerNorm and cosine is one node
     cfg = build_run_config(resolve_config())
     train_samples, _ = gen_dataset(cfg.data, cfg.seed)
     model = Model(cfg.dims, seed=cfg.seed, catalog=cfg.catalog)
@@ -320,4 +324,26 @@ def test_default_config_step_builds_at_most_300_nodes():
     assert len({s.class_name for s in batch}) == len(cfg.data.classes)
     loss, _, _ = batch_loss(model, batch, cfg.train.loss_weights, mode="train",
                             dropout_rng=np.random.default_rng(0))
-    assert _graph_nodes(loss) <= 300
+    assert _graph_nodes(loss) <= 180
+
+
+def test_gradcheck_objective_builds_at_most_100_nodes(monkeypatch):
+    # every graph node, leaf results included, is made by autograd._make
+    import triad.autograd as ag
+    import triad.trainer as trainer_mod
+    make = ag._make
+    built = []
+
+    def counting_make(*args):
+        built.append(args)
+        return make(*args)
+
+    def one_objective(objective, params, epsilon):
+        monkeypatch.setattr(ag, "_make", counting_make)
+        objective()
+        monkeypatch.setattr(ag, "_make", make)
+        return trainer_mod.GradCheckReport({})
+
+    monkeypatch.setattr(trainer_mod, "finite_diff_gradient_check", one_objective)
+    run_gradcheck()
+    assert 0 < len(built) <= 100
