@@ -7,8 +7,11 @@ scalar output accumulates gradients into every reachable node that has
 
 Operations are pure towards their inputs: a forward kernel may work in place
 only on arrays that the node itself created, never on an input's data or on
-another node's arrays, and a node's data is never mutated after
-construction, so graphs are safe to share across threads.
+another node's arrays, and a computed node's data is never mutated after
+construction.  Parameter leaves are the exception: each is a view into its
+:class:`ParameterStore`'s buffer, which the optimizer, checkpoint loading and
+the finite-difference check update in place, so a graph holds only until its
+parameters next change.
 
 Grad mode is a per-thread flag, on by default.  Inside :func:`no_grad` every
 result is a leaf with no parents and no backward closure, so a forward whose
@@ -66,9 +69,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
         # The first gradient is kept as is; later ones are added out of place,
@@ -402,36 +402,55 @@ def cosine_rows(a, b, eps: float = 1e-8) -> Tensor:
 # parameters and linear layers
 
 class ParameterStore:
-    """Named, ordered collection of trainable tensors."""
+    """Named, ordered collection of trainable tensors.
+
+    After :meth:`pack`, every parameter's data is a view into one contiguous
+    float64 buffer, ``flat``, and ``slices`` maps each name to its range in
+    it, in registration order.  From then on parameters are updated in place
+    only, so the views stay valid, and no parameter can be registered.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.flat: np.ndarray | None = None
+        self.slices: dict[str, slice] = {}
 
     def register(self, name: str, data: np.ndarray) -> Tensor:
+        if self.flat is not None:
+            raise ValueError(f"cannot register {name!r}: the store is packed")
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         t = Tensor(np.asarray(data, dtype=np.float64).copy(), requires_grad=True)
         self._params[name] = t
         return t
 
+    def pack(self) -> None:
+        """Move every parameter into ``flat``; each keeps its shape and values."""
+        self.flat = np.empty(sum(t.data.size for t in self._params.values()))
+        pos = 0
+        for name, t in self._params.items():
+            self.slices[name] = s = slice(pos, pos + t.data.size)
+            self.flat[s] = t.data.ravel()
+            t.data = self.flat[s].reshape(t.data.shape)
+            pos = s.stop
+
+    def gather_grads(self) -> np.ndarray:
+        """Every gradient in the layout of ``flat``; zeros for a parameter without one."""
+        g = np.zeros_like(self.flat)
+        for name, t in self._params.items():
+            if t.grad is not None:
+                g[self.slices[name]] = t.grad.ravel()
+        return g
+
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._params.items()
 
     def zero_grad(self) -> None:
         for t in self._params.values():
-            t.zero_grad()
+            t.grad = None
 
 
 class LinearParams:

@@ -20,7 +20,7 @@ from .config import ConfigError, build_run_config, load_config
 from .evaluate import OracleMismatchError, evaluate, infer_maps
 from .metrics import MetricError
 from .model import Model, ParameterMismatchError
-from .provider import DatasetFolderProvider, read_features, save_dataset
+from .provider import BinaryValueError, DatasetFolderProvider, read_features, save_dataset
 from .scoring import ShapeMismatchError
 from .synthdata import LabeledSample, gen_dataset
 from .tmf import (
@@ -51,8 +51,8 @@ _EXIT_CODES = (
     (ParameterMismatchError, EXIT_IO, "I/O error: checkpoint does not fit its model"),
     ((OSError, TmfFormatError), EXIT_IO, "I/O error"),
     (OracleMismatchError, EXIT_VALIDATION, "validation error: oracle cross-check failed"),
-    ((ShapeMismatchError, NonFiniteError, MetricError, TrainingContractError,
-      ValidationError), EXIT_VALIDATION, "validation error"),
+    ((ShapeMismatchError, NonFiniteError, BinaryValueError, MetricError,
+      TrainingContractError, ValidationError), EXIT_VALIDATION, "validation error"),
 )
 
 
@@ -69,8 +69,10 @@ def _load_model_from_checkpoint(path):
     return model, cfg
 
 
-def _check_fits(cfg, samples) -> None:
-    """Every sample's class and feature widths must be the configured ones."""
+def _check_fits(cfg, samples, split: str) -> None:
+    """The split must hold samples, each of a configured class and feature widths."""
+    if not samples:
+        raise ValidationError(f"the dataset has no {split} samples")
     dims = (cfg.dims.d_rgb, cfg.dims.d_3d)
     for s in samples:
         if s.class_name not in cfg.data.classes:
@@ -94,9 +96,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     train_samples = DatasetFolderProvider(args.data).load_split("train")
-    _check_fits(cfg, train_samples)
-    ckpt, loss_log = train(cfg.train, _build_model(cfg), train_samples,
-                           config_snapshot=cfg.raw)
+    _check_fits(cfg, train_samples, "train")
+    ckpt, loss_log = train(cfg.train, _build_model(cfg), train_samples)
     save_checkpoint(args.out, ckpt.arrays, ckpt.step, ckpt.seed, cfg.hash, cfg.raw)
     with open(str(args.out) + ".log.jsonl", "w") as f:
         for rec in loss_log:
@@ -110,7 +111,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, cfg = _load_model_from_checkpoint(args.checkpoint)
     test_samples = DatasetFolderProvider(args.data).load_split("test")
-    _check_fits(cfg, test_samples)
+    _check_fits(cfg, test_samples, "test")
     report = evaluate(model, test_samples, cfg.fusion, args.limit or cfg.fpr_limits,
                       oracle_check=args.oracle_check)
     report["config_hash"] = cfg.hash
@@ -127,7 +128,7 @@ def cmd_infer(args) -> int:
     f_rgb, f_3d, mask = read_features(args.sample)
     class_name = args.class_name or cfg.data.classes[0]
     sample = LabeledSample(class_name, f_rgb, f_3d, mask, np.zeros_like(mask), False)
-    _check_fits(cfg, [sample])
+    _check_fits(cfg, [sample], "input")
     final, score = infer_maps(model, sample, cfg.fusion)
     write_tensor(args.out, final.astype(np.float32))
     meta = {"config_hash": cfg.hash, "image_score": score, "class": class_name}

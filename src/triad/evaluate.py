@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import no_grad
-from .metrics import BinaryLabeledScores, auroc, aupro, pixel_auroc, pro_curve
+from .metrics import BinaryLabeledScores, MetricError, auroc, aupro, pixel_auroc, pro_curve
 from .model import Model
 from .oracles import auroc_pair_counting, aupro_exhaustive, pro_points_exhaustive
 from .scoring import (
@@ -53,6 +53,8 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
              oracle_check: bool = False,
              oracle_tolerance: float = 1e-6) -> dict:
     """Per-class and averaged I-AUROC, P-AUROC, and AUPRO at each limit."""
+    if not test_samples:
+        raise MetricError("no test samples to evaluate")
     classes = sorted({s.class_name for s in test_samples})
     with no_grad():
         anchors = {c: model.text_anchor(c, mode="eval").data for c in classes}

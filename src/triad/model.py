@@ -1,7 +1,8 @@
 """Full detection head: mapper + projectors + textual adaptor over one store.
 
-The head owns a single ParameterStore so that checkpointing, optimization,
-and gradient checking can treat every trainable tensor uniformly.  Feature
+The head owns a single ParameterStore, packed into one float64 buffer once
+every module has registered, so that checkpointing, optimization, and
+gradient checking can treat every trainable tensor uniformly.  Feature
 grids enter as (H, W, D) numpy arrays and are flattened to (H*W, D) patch
 matrices internally; training passes a whole batch's stacked patch rows.
 """
@@ -80,6 +81,7 @@ class Model:
         self.moe = MoeParams(self.store, dims.d_text, dims.n_experts, dims.top_k, rng)
         self.proto = PrototypeParams(self.store, dims.d_text, rng,
                                      dropout_rate=dims.dropout_rate)
+        self.store.pack()
 
     def map_rgb_to_3d(self, f_rgb: Tensor) -> Tensor:
         if self.mapper_kind == MAPPER_GACM:
@@ -118,14 +120,11 @@ class Model:
         """Class-conditioned 1 x D_text anchor (shared by both visual sides)."""
         return self.text_anchors([class_name], mode=mode, dropout_rng=dropout_rng)
 
-    def parameter_names(self) -> list[str]:
-        return self.store.names()
-
     def export_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.store.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        names = self.store.names()
+        names = self.store.slices
         if set(arrays) != set(names):
             missing = set(names) - set(arrays)
             extra = set(arrays) - set(names)
@@ -138,4 +137,4 @@ class Model:
             if arr.shape != t.data.shape:
                 raise ParameterMismatchError(f"shape mismatch for {name}: "
                                              f"{arr.shape} vs {t.data.shape}")
-            t.data = arr.copy()
+            t.data[...] = arr

@@ -5,7 +5,8 @@ A dataset is a ``manifest.json`` plus one folder of TMF1 files per sample
 ``gt.tmf``), as written by ``triad gen-data``.  Any other feature source
 plugs in by writing the same layout.  Every read is checked: a malformed
 manifest raises `DatasetIOError`, mismatched ranks or grids raise
-`ShapeMismatchError`, and non-finite features raise `NonFiniteError`.
+`ShapeMismatchError`, non-finite features raise `NonFiniteError`, and a mask
+or ground-truth value other than 0 or 1 raises `BinaryValueError`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,29 @@ _ENTRY_KEYS = frozenset({"id", "class", "split", "is_anomalous"})
 
 class DatasetIOError(OSError):
     pass
+
+
+class BinaryValueError(ValueError):
+    """A mask or ground-truth file holds a value other than 0 or 1."""
+
+
+def _read_binary(path) -> np.ndarray:
+    arr = read_tensor(path)
+    out = arr.astype(bool)
+    if not (out == arr).all():  # NaN and every value but 0 and 1 differ
+        raise BinaryValueError(f"{path}: values other than 0 and 1")
+    return out
+
+
+def _check_entry(e: dict) -> None:
+    if not _ENTRY_KEYS <= set(e):
+        raise KeyError(f"every sample entry needs {sorted(_ENTRY_KEYS)}")
+    if not (isinstance(e["id"], str) and isinstance(e["class"], str)):
+        raise ValueError(f"sample id and class must be strings in {e}")
+    if e["split"] not in ("train", "test"):
+        raise ValueError(f"split must be 'train' or 'test' in {e}")
+    if not isinstance(e["is_anomalous"], bool):
+        raise ValueError(f"is_anomalous must be a JSON bool in {e}")
 
 
 def save_dataset(out_dir, train, test, config_hash: str, seed: int) -> None:
@@ -50,13 +74,14 @@ def read_features(sdir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read one sample folder's (H, W, D) feature grids and (H, W) mask.
 
     Raises `ShapeMismatchError` unless both grids are rank 3 and the mask
-    rank 2 over one (H, W) grid, and `NonFiniteError` if any feature value,
-    at a valid pixel or not, is NaN or infinite.
+    rank 2 over one (H, W) grid, `NonFiniteError` if any feature value, at a
+    valid pixel or not, is NaN or infinite, and `BinaryValueError` unless
+    every mask value is 0 or 1.
     """
     sdir = Path(sdir)
     f_rgb = np.asarray(read_tensor(sdir / "f_rgb.tmf"), dtype=np.float64)
     f_3d = np.asarray(read_tensor(sdir / "f_3d.tmf"), dtype=np.float64)
-    mask = read_tensor(sdir / "mask.tmf").astype(bool)
+    mask = _read_binary(sdir / "mask.tmf")
     if f_rgb.ndim != 3 or f_3d.ndim != 3 or mask.ndim != 2:
         raise ShapeMismatchError(
             f"{sdir}: expected (H, W, D) features and an (H, W) mask, got shapes "
@@ -81,9 +106,12 @@ class DatasetFolderProvider:
         try:
             self.manifest = json.loads(manifest_path.read_text())
             entries = self.manifest["samples"]
-            if not all(_ENTRY_KEYS <= set(e) for e in entries):
-                raise KeyError(f"every sample entry needs {sorted(_ENTRY_KEYS)}")
-            self._by_id = {e["id"]: e for e in entries}
+            self._by_id = {}
+            for e in entries:
+                _check_entry(e)
+                if e["id"] in self._by_id:
+                    raise ValueError(f"repeated sample id {e['id']!r}")
+                self._by_id[e["id"]] = e
         except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, layout
             raise DatasetIOError(f"{manifest_path}: corrupt manifest: {exc}") from None
 
@@ -100,12 +128,12 @@ class DatasetFolderProvider:
     def load_sample(self, ref: str) -> LabeledSample:
         f_rgb, f_3d, mask, cname = self.provide(ref)
         gt_path = self.root / "samples" / ref / "gt.tmf"
-        gt = read_tensor(gt_path).astype(bool)
+        gt = _read_binary(gt_path)
         if gt.shape != mask.shape:
             raise ShapeMismatchError(
                 f"{gt_path}: ground-truth grid {gt.shape} != mask grid {mask.shape}")
         return LabeledSample(cname, f_rgb, f_3d, mask, gt,
-                             bool(self._by_id[ref]["is_anomalous"]))
+                             self._by_id[ref]["is_anomalous"])
 
     def load_split(self, split: str) -> list[LabeledSample]:
         return [self.load_sample(r) for r in self.refs(split)]

@@ -101,7 +101,11 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], step: int, seed: int,
 
 
 def load_checkpoint(path) -> dict:
-    """Returns {'arrays': {...}, 'step', 'seed', 'config_hash', 'config', 'dtype'}."""
+    """Returns {'arrays': {...}, 'step', 'seed', 'config_hash', 'config', 'dtype'}.
+
+    A truncated or corrupt file, or an array holding NaN or Inf, raises
+    `TmfFormatError`.
+    """
     buf = Path(path).read_bytes()
     if len(buf) < 4:
         raise TmfFormatError(f"{path}: truncated checkpoint file")
@@ -114,6 +118,8 @@ def load_checkpoint(path) -> dict:
         arrays: dict[str, np.ndarray] = {}
         for name in header["names"]:
             arr, _ = tensor_from_bytes(buf, base + header["offsets"][name])
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite values in array {name!r}")
             arrays[name] = arr
         return {
             "arrays": arrays,

@@ -52,32 +52,30 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators, shape-matched to the parameters."""
+    """First/second moment accumulators in the layout of the parameter buffer."""
 
     def __init__(self, model: Model):
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in model.store.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in model.store.items()}
+        self.m = np.zeros_like(model.store.flat)
+        self.v = np.zeros_like(model.store.flat)
 
 
 @dataclass
 class Checkpoint:
     arrays: dict[str, np.ndarray]
-    config: dict
     step: int
     seed: int
 
 
-def filter_nonfinite(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Zero out (and log) any gradient tensor containing NaN or Inf."""
-    out = {}
-    for name, g in grads.items():
-        if np.isfinite(g).all():
-            out[name] = g
-        else:
+def filter_nonfinite(grad: np.ndarray, slices: dict[str, slice]) -> None:
+    """Zero out (and log) each tensor's slice of `grad` that holds NaN or Inf."""
+    finite = np.isfinite(grad)
+    if finite.all():
+        return
+    for name, s in slices.items():
+        if not finite[s].all():
             log.warning("non-finite gradient filtered for %s", name)
-            out[name] = np.zeros_like(g)
-    return out
+            grad[s] = 0.0
 
 
 def batch_loss(model: Model, batch: list[LabeledSample], w: LossWeights,
@@ -122,29 +120,25 @@ def train_step(batch: list[LabeledSample], model: Model, opt: AdamState,
     loss, l_vis, l_text = batch_loss(model, batch, cfg.loss_weights,
                                      mode="train", dropout_rng=dropout_rng)
     loss.backward()
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-             for name, p in model.store.items()}
-    grads = filter_nonfinite(grads)
-    _adam_update(model, opt, grads, cfg)
+    grad = model.store.gather_grads()
+    filter_nonfinite(grad, model.store.slices)
+    _adam_update(model.store.flat, opt, grad, cfg)
     return float(loss.data), l_vis, l_text
 
 
-def _adam_update(model: Model, opt: AdamState, grads: dict[str, np.ndarray],
+def _adam_update(params: np.ndarray, opt: AdamState, g: np.ndarray,
                  cfg: TrainConfig) -> None:
+    """One Adam step over the whole parameter buffer, in place."""
     opt.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    lr = cfg.learning_rate
-    for name, p in model.store.items():
-        g = grads[name]
-        opt.m[name] = b1 * opt.m[name] + (1 - b1) * g
-        opt.v[name] = b2 * opt.v[name] + (1 - b2) * g * g
-        m_hat = opt.m[name] / (1 - b1 ** opt.t)
-        v_hat = opt.v[name] / (1 - b2 ** opt.t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    opt.m = b1 * opt.m + (1 - b1) * g
+    opt.v = b2 * opt.v + (1 - b2) * g * g
+    m_hat = opt.m / (1 - b1 ** opt.t)
+    v_hat = opt.v / (1 - b2 ** opt.t)
+    params -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
-def train(cfg: TrainConfig, model: Model, train_samples: list[LabeledSample],
-          config_snapshot: dict | None = None
+def train(cfg: TrainConfig, model: Model, train_samples: list[LabeledSample]
           ) -> tuple[Checkpoint, list[dict]]:
     """Run the full loop; returns the final checkpoint and the loss log."""
     cfg.validate()
@@ -164,9 +158,7 @@ def train(cfg: TrainConfig, model: Model, train_samples: list[LabeledSample],
         l_total, l_vis, l_text = train_step(batch, model, opt, cfg, step)
         loss_log.append({"step": step, "l_vis": l_vis, "l_text": l_text,
                          "l_total": l_total})
-    ckpt = Checkpoint(arrays=model.export_arrays(),
-                      config=dict(config_snapshot or {}),
-                      step=cfg.steps, seed=cfg.seed)
+    ckpt = Checkpoint(arrays=model.export_arrays(), step=cfg.steps, seed=cfg.seed)
     return ckpt, loss_log
 
 
@@ -206,9 +198,9 @@ def run_gradcheck(tolerance: float = 1e-4, epsilon: float = 1e-5,
     model = Model(dims, seed=seed + 1, catalog=_GRADCHECK_CATALOG)
     prng = np.random.default_rng(seed + 100)
     for name, p in model.store.items():
-        p.data = p.data + 0.3 * prng.standard_normal(p.data.shape)
+        p.data += 0.3 * prng.standard_normal(p.data.shape)
         if name in _GRADCHECK_AMPLIFIED:
-            p.data = p.data * 2.0
+            p.data *= 2.0
 
     sample_rng = np.random.default_rng(seed + 500)
     mask = np.ones((2, 2), dtype=bool)

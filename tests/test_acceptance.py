@@ -13,6 +13,7 @@ verdicts always appear in the run log):
   7. prompt catalog size and wording
 """
 
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -78,7 +79,8 @@ def benchmark_runs():
 
     Each entry holds the untrained and trained averaged metrics for the full
     model, the beta=0 evaluation of the same trained model, and the trained
-    plain-MLP-mapper variant.
+    plain-MLP-mapper variant, plus the SHA-256 of both trained models'
+    parameter bytes.
     """
     cfg = build_run_config(resolve_config())
     runs = {}
@@ -95,8 +97,31 @@ def benchmark_runs():
         train(tc, mlp, tr)
         mlp_avg = evaluate(mlp, te, cfg.fusion, [0.3])["average"]
         runs[seed] = {"untrained": untrained, "full": full, "beta0": beta0,
-                      "mlp": mlp_avg}
+                      "mlp": mlp_avg,
+                      "sha256": (_parameter_sha256(model), _parameter_sha256(mlp))}
     return runs
+
+
+def _parameter_sha256(model: Model) -> str:
+    return hashlib.sha256(b"".join(
+        a.tobytes() for a in model.export_arrays().values())).hexdigest()
+
+
+# (full, plain-MLP mapper) trained parameter bytes at the default config; any
+# change to the arithmetic or order of training shows here first
+PINNED_PARAMETER_SHA256 = {
+    7: ("95bad2f413899f01428a287d85364748c0e38882cedc1f9c0400b21933b1955c",
+        "52a455f50342490150a9f5b9c05ac0b5970ae4fcca1ca234cc88236e3abf078e"),
+    1: ("7e2605a4f707003c6da704cf365be4a4d8f93cb408e67d1366e36b6ed4c1a894",
+        "ad0d18b8f3b40c9e3220441994f6afbea1e0c956b6fce63278c79cfa6e1bc9e5"),
+    2: ("f2901418be9427b9ee2da099b164d223a093da3be870c91f928c57a482363d35",
+        "161bc5fa49c74ed98b5b824fd9a4fe0576c494255b6607d284aa4c4ae338314b"),
+}
+
+
+def test_trained_parameter_bytes_are_pinned(benchmark_runs):
+    assert {seed: run["sha256"] for seed, run in benchmark_runs.items()} \
+        == PINNED_PARAMETER_SHA256
 
 
 # ---------------------------------------------------------------------------

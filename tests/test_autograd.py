@@ -296,8 +296,7 @@ def test_parameter_store_rejects_duplicates():
     store.register("w", np.zeros(2))
     with pytest.raises(ValueError):
         store.register("w", np.zeros(2))
-    assert store.names() == ["w"]
-    assert "w" in store and len(store) == 1
+    assert [name for name, _ in store.items()] == ["w"]
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,63 @@ def _infer_nan_at_valid_pixel(ctx):
     return _infer_argv(ctx, sdir)
 
 
+def _nan_in_checkpoint_array(ctx):
+    ck = load_checkpoint(ctx.ckpt)
+    arrays = dict(ck["arrays"])
+    name = sorted(arrays)[0]
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] = np.nan
+    ctx.ckpt = str(ctx.tmp / "nan.ckpt")
+    save_checkpoint(ctx.ckpt, arrays, ck["step"], ck["seed"], ck["config_hash"],
+                    ck["config"])
+
+
+def _eval_nan_in_checkpoint(ctx):
+    _nan_in_checkpoint_array(ctx)
+    return _eval_argv(ctx)
+
+
+def _infer_nan_in_checkpoint(ctx):
+    _nan_in_checkpoint_array(ctx)
+    return _infer_argv(ctx, Path(ctx.data) / "samples" / "test-00000")
+
+
+def _edit_manifest(edit, argv=_eval_argv):
+    """`argv(ctx)` after `edit(samples)` changed the manifest's entries."""
+    def make_argv(ctx):
+        path = Path(ctx.data) / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["samples"])
+        path.write_text(json.dumps(manifest))
+        return argv(ctx)
+    return make_argv
+
+
+def _set_test_field(key, value, index=0):
+    """Set `key` of the `index`-th test entry."""
+    def edit(samples):
+        [e for e in samples if e["split"] == "test"][index][key] = value
+    return edit
+
+
+def _drop_split(split):
+    def edit(samples):
+        samples[:] = [e for e in samples if e["split"] != split]
+    return edit
+
+
+def _infer_nan_filled_mask(ctx):
+    sdir = _sample_dir(ctx.tmp, ctx.data)
+    write_tensor(sdir / "mask.tmf", np.full((8, 8), np.nan, dtype=np.float32))
+    return _infer_argv(ctx, sdir)
+
+
+def _eval_gt_value_two(ctx):
+    write_tensor(Path(ctx.data) / "samples" / "test-00000" / "gt.tmf",
+                 np.full((8, 8), 2.0, dtype=np.float32))
+    return _eval_argv(ctx)
+
+
 def _gradcheck_exceeds_tolerance(ctx):
     import triad.cli as cli
     from triad.autograd import GradCheckReport
@@ -445,7 +502,23 @@ EXIT_CODE_TABLE = [
      EXIT_CONFIG),
     ("eval-limit-out-of-range", lambda ctx: _eval_argv(ctx, "--limit", "2"),
      EXIT_VALIDATION),
+    ("eval-nan-in-checkpoint-array", _eval_nan_in_checkpoint, EXIT_IO),
+    ("eval-manifest-id-not-a-string", _edit_manifest(_set_test_field("id", 5)), EXIT_IO),
+    ("eval-manifest-class-not-a-string",
+     _edit_manifest(_set_test_field("class", ["bagel"])), EXIT_IO),
+    ("eval-manifest-unknown-split",
+     _edit_manifest(_set_test_field("split", "validation")), EXIT_IO),
+    ("eval-manifest-is-anomalous-string",
+     _edit_manifest(_set_test_field("is_anomalous", "false")), EXIT_IO),
+    ("eval-manifest-duplicate-id",
+     _edit_manifest(_set_test_field("id", "test-00000", index=1)), EXIT_IO),
+    ("eval-no-test-samples", _edit_manifest(_drop_split("test")), EXIT_VALIDATION),
+    ("train-no-train-samples", _edit_manifest(_drop_split("train"), _train_argv),
+     EXIT_VALIDATION),
+    ("eval-gt-value-two", _eval_gt_value_two, EXIT_VALIDATION),
     ("infer-nan-at-valid-pixel", _infer_nan_at_valid_pixel, EXIT_VALIDATION),
+    ("infer-nan-filled-mask", _infer_nan_filled_mask, EXIT_VALIDATION),
+    ("infer-nan-in-checkpoint-array", _infer_nan_in_checkpoint, EXIT_IO),
     ("infer-missing-sample",
      lambda ctx: _infer_argv(ctx, ctx.tmp / "none"), EXIT_IO),
     ("gradcheck-unknown-config-key",

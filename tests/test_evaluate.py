@@ -7,6 +7,7 @@ import pytest
 
 import triad.evaluate as ev
 from triad.evaluate import OracleMismatchError, evaluate, infer_maps
+from triad.metrics import MetricError
 from triad.model import Model, ModelDims
 from triad.scoring import FusionWeights
 from triad.synthdata import SynthConfig, gen_dataset
@@ -69,6 +70,11 @@ def test_evaluate_report_structure():
     for key, v in report["average"].items():
         per = [report["classes"][c][key] for c in report["classes"]]
         assert v == pytest.approx(np.mean(per), abs=1e-12)
+
+
+def test_evaluate_without_samples_raises_metric_error():
+    with pytest.raises(MetricError, match="no test samples"):
+        evaluate(Model(DIMS, seed=2), [], FusionWeights(), [0.3])
 
 
 def test_evaluate_oracle_check_passes_on_real_model():

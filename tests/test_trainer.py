@@ -72,21 +72,75 @@ def test_empty_training_set_rejected():
 # non-finite gradient filtering
 
 
+_SLICES = {"a": slice(0, 4), "b": slice(4, 6), "c": slice(6, 7), "d": slice(7, 9)}
+
+
 def test_filter_nonfinite_zeroes_bad_tensors_only():
-    good = np.arange(4.0)
-    bad_nan = np.array([1.0, np.nan])
-    bad_inf = np.array([np.inf])
-    out = filter_nonfinite({"a": good, "b": bad_nan, "c": bad_inf})
-    np.testing.assert_array_equal(out["a"], good)
-    np.testing.assert_array_equal(out["b"], np.zeros(2))
-    np.testing.assert_array_equal(out["c"], np.zeros(1))
+    good_a, good_d = np.arange(4.0), np.array([-0.0, 1e-300])
+    grad = np.concatenate([good_a, [1.0, np.nan], [np.inf], good_d])
+    filter_nonfinite(grad, _SLICES)
+    # bits of the finite tensors untouched, the -0.0 included
+    assert grad[_SLICES["a"]].tobytes() == good_a.tobytes()
+    assert grad[_SLICES["d"]].tobytes() == good_d.tobytes()
+    np.testing.assert_array_equal(grad[_SLICES["b"]], np.zeros(2))
+    np.testing.assert_array_equal(grad[_SLICES["c"]], np.zeros(1))
 
 
 def test_filter_nonfinite_logs_warning(caplog):
-    import logging
+    grad = np.array([0.5, np.nan])
     with caplog.at_level(logging.WARNING, logger="triad.trainer"):
-        filter_nonfinite({"layer.weight": np.array([np.nan])})
-    assert any("layer.weight" in r.message for r in caplog.records)
+        filter_nonfinite(grad, {"proto.wq": slice(0, 1), "layer.weight": slice(1, 2)})
+    assert [r.getMessage() for r in caplog.records] == [
+        "non-finite gradient filtered for layer.weight"]
+    np.testing.assert_array_equal(grad, [0.5, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the parameter buffer
+
+
+def _assert_views_of_buffer(model):
+    flat = model.store.flat
+    for name, t in model.store.items():
+        assert np.shares_memory(t.data, flat), name
+    np.testing.assert_array_equal(
+        np.concatenate([a.ravel() for a in model.export_arrays().values()]), flat)
+
+
+def test_parameters_stay_views_of_one_buffer():
+    train_samples, _ = _tiny_data()
+    model = _model(seed=15)
+    cfg = TrainConfig(steps=2, batch_size=2)
+    _assert_views_of_buffer(model)
+    ckpt, _ = train(cfg, model, train_samples)
+    _assert_views_of_buffer(model)
+
+    other = _model(seed=16)
+    other.load_arrays(ckpt.arrays)
+    _assert_views_of_buffer(other)
+    assert other.store.flat.tobytes() == model.store.flat.tobytes()
+
+    before = model.store.flat.copy()
+    train_step(train_samples[:2], model, AdamState(model), cfg, 0)
+    _assert_views_of_buffer(model)
+    assert not np.array_equal(model.store.flat, before)
+
+
+def test_export_arrays_are_copies_in_buffer_order():
+    model = _model(seed=17)
+    arrays = model.export_arrays()
+    assert list(arrays) == list(model.store.slices)
+    for name, s in model.store.slices.items():
+        np.testing.assert_array_equal(arrays[name].ravel(), model.store.flat[s])
+        assert not np.shares_memory(arrays[name], model.store.flat), name
+    arrays["gacm.ln_gain"] += 1.0
+    np.testing.assert_array_equal(model.store["gacm.ln_gain"].data, 1.0)
+
+
+def test_register_after_packing_raises():
+    model = _model(seed=18)
+    with pytest.raises(ValueError, match="packed"):
+        model.store.register("late.weight", np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +163,7 @@ def test_zero_steps_returns_initial_checkpoint():
     model = _model()
     before = model.export_arrays()
     ckpt, log_rows = train(TrainConfig(steps=0), model, train_samples)
-    assert ckpt.step == 0 and log_rows == []
+    assert ckpt.step == 0 and ckpt.seed == 7 and log_rows == []
     for name in before:
         np.testing.assert_array_equal(ckpt.arrays[name], before[name])
 
@@ -164,15 +218,6 @@ def test_train_step_uses_seeded_dropout():
     assert outs[0] == outs[1]
 
 
-def test_checkpoint_carries_config_snapshot():
-    train_samples, _ = _tiny_data()
-    snap = {"train": {"steps": 1}}
-    ckpt, _ = train(TrainConfig(steps=1), _model(seed=6), train_samples,
-                    config_snapshot=snap)
-    assert ckpt.config == snap
-    assert ckpt.seed == 7
-
-
 # ---------------------------------------------------------------------------
 # gradient check entry point
 
@@ -186,7 +231,7 @@ def test_run_gradcheck_covers_every_parameter_once():
     model = Model(ModelDims(d_rgb=4, d_3d=6, d_text=8, n_experts=3, top_k=2,
                             dropout_rate=0.0), seed=1)
     report = run_gradcheck(seed=0)
-    assert sorted(report.per_parameter_errors) == sorted(model.parameter_names())
+    assert sorted(report.per_parameter_errors) == sorted(model.store.slices)
 
 
 # ---------------------------------------------------------------------------
