@@ -265,10 +265,7 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
     def bw(g):
         if a.requires_grad:
             acc = np.zeros_like(a.data)
-            if (idx[1:] > idx[:-1]).all():
-                acc[idx] = g  # strictly increasing indices are unique
-            else:
-                np.add.at(acc, idx, g)
+            np.add.at(acc, idx, g)
             a._accumulate(acc)
 
     return _make(data, (a,), bw)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import no_grad
+from .autograd import NonFiniteError, no_grad
 from .metrics import BinaryLabeledScores, MetricError, auroc, aupro, pixel_auroc, pro_curve
 from .model import Model
 from .oracles import auroc_pair_counting, aupro_exhaustive, pro_points_exhaustive
@@ -27,24 +27,31 @@ class OracleMismatchError(AssertionError):
 
 def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
                anchor: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Final anomaly map (invalid pixels zeroed) and image score for one sample."""
+    """Final anomaly map (invalid pixels zeroed) and image score for one sample.
+
+    Numpy's floating-point warnings are off, as a huge value at an invalid
+    pixel may overflow there; `NonFiniteError` if the zeroed map is not finite.
+    """
     grid = sample.mask.shape
     if len(grid) != 2 or sample.f_rgb.shape[:-1] != grid or sample.f_3d.shape[:-1] != grid:
         raise ShapeMismatchError(
             f"feature grids {sample.f_rgb.shape[:-1]} and {sample.f_3d.shape[:-1]} "
             f"do not match the mask grid {grid}")
     h, w = grid
-    with no_grad():
+    with no_grad(), np.errstate(all="ignore"):
         feats = model.forward_sample(sample.f_rgb, sample.f_3d)
         if anchor is None:
             anchor = model.text_anchor(sample.class_name, mode="eval").data
-    grids = {k: feats[k].data.reshape(h, w, -1)
-             for k in ("f_rgb", "f_3d", "f_rgb_to_3d", "f_3d_to_rgb",
-                       "f_rgb_to_text", "f_3d_to_text")}
-    m_rgb = psi_rgb(grids["f_rgb"], grids["f_3d_to_rgb"])
-    m_3d = psi_3d(grids["f_3d"], grids["f_rgb_to_3d"])
-    m_text = psi_text(anchor, grids["f_rgb_to_text"], grids["f_3d_to_text"])
-    final = zero_invalid(fuse(m_rgb, m_3d, m_text, fusion), sample.mask)
+        grids = {k: feats[k].data.reshape(h, w, -1)
+                 for k in ("f_rgb", "f_3d", "f_rgb_to_3d", "f_3d_to_rgb",
+                           "f_rgb_to_text", "f_3d_to_text")}
+        m_rgb = psi_rgb(grids["f_rgb"], grids["f_3d_to_rgb"])
+        m_3d = psi_3d(grids["f_3d"], grids["f_rgb_to_3d"])
+        m_text = psi_text(anchor, grids["f_rgb_to_text"], grids["f_3d_to_text"])
+        final = zero_invalid(fuse(m_rgb, m_3d, m_text, fusion), sample.mask)
+    if not np.isfinite(final).all():
+        raise NonFiniteError(f"non-finite anomaly map for a {sample.class_name!r} "
+                             f"sample: a feature value is too large for the head")
     return final, image_score(final, sample.mask)
 
 

@@ -1,4 +1,7 @@
-"""Masked cosine alignment losses and the total training objective."""
+"""Cosine alignment losses over valid patch rows and the total training objective.
+
+The trainer drops invalid patches before the forward, so nothing here takes a mask.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from .autograd import (
     add,
     as_tensor,
     cosine_rows,
-    gather_rows,
     mul,
     sub,
     tensor_sum,
@@ -38,72 +40,54 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def masked_cosine_loss(pred, target, mask: np.ndarray,
-                       row_weights: np.ndarray | None = None) -> Tensor:
-    """Weighted sum of (1 - cosine similarity) over valid patches.
+def cosine_loss(pred, target, row_weights: np.ndarray) -> Tensor:
+    """Weighted sum of (1 - cosine similarity) over the rows: Σ_r w_r·(1 − cos_r).
 
-    `pred` and `target` are (N, D) patch matrices; `mask` is a flat boolean
-    array of length N.  `row_weights` (length N) weighs each row's term; by
-    default every valid row weighs 1/n_valid, which gives the mean.  Invalid
-    patches are dropped before this loss's arithmetic, so their values cannot
-    influence the value or its gradients as long as they are finite.  A NaN
-    or infinity at an invalid patch still can: the model's forward runs on
-    every stacked row, and a weight gradient then computes NaN * 0 = NaN.
-    `provider.read_features` rejects sample files holding such values.
-    Returns 0 (with a warning) when no patch is valid.
+    `pred` and `target` are (N, D) patch matrices and `row_weights` holds one
+    weight per row; weights 1/N give the mean.
     """
-    pred, target = as_tensor(pred), as_tensor(target)
-    if pred.data.shape != target.data.shape:
+    pred = as_tensor(pred)
+    row_weights = np.asarray(row_weights, dtype=np.float64)
+    if row_weights.shape != pred.data.shape[:1]:
         raise DimensionMismatchError(
-            f"masked_cosine_loss shapes differ: {pred.data.shape} vs {target.data.shape}")
-    mask = np.asarray(mask, dtype=bool).ravel()
-    if mask.shape[0] != pred.data.shape[0]:
-        raise DimensionMismatchError(
-            f"mask length {mask.shape[0]} != patch count {pred.data.shape[0]}")
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        log.warning("masked_cosine_loss: no valid patch, contributing 0")
-        return Tensor(0.0)
-    weights = (np.full(idx.size, 1.0 / idx.size) if row_weights is None
-               else np.asarray(row_weights, dtype=np.float64)[idx])
-    sims = cosine_rows(gather_rows(pred, idx), gather_rows(target, idx))
-    return tensor_sum(mul(sub(1.0, sims), weights))
+            f"row weights of shape {row_weights.shape} for {pred.data.shape[0]} rows")
+    return tensor_sum(mul(sub(1.0, cosine_rows(pred, target)), row_weights))
 
 
-def sample_row_weights(masks: list[np.ndarray]) -> np.ndarray:
-    """Row weights 1/(n_valid_s * B) for the stacked patch rows of B samples.
+def sample_row_weights(counts: list[int]) -> np.ndarray:
+    """Row weights 1/(n_s * B) for the stacked valid rows of B samples.
 
-    With them, one weighted sum over the stacked rows equals the mean over
-    the samples of each sample's mean over its valid patches.  A sample with
-    no valid patch still counts in the 1/B mean, contributing 0 (with a
-    warning).
+    `counts` holds each sample's number n_s of valid patches.  With these
+    weights, one weighted sum over the stacked rows equals the mean over the
+    samples of each sample's mean over its valid patches.  A sample with no
+    valid patch still counts in the 1/B mean, contributing 0 (with a warning).
     """
-    weights = []
-    for i, m in enumerate(masks):
-        n_valid = int(np.count_nonzero(m))
-        if n_valid == 0:
+    for i, n in enumerate(counts):
+        if n == 0:
             log.warning("sample %d of the batch: no valid patch, contributing 0", i)
-        weights.append(np.full(np.size(m), 1.0 / (max(n_valid, 1) * len(masks))))
-    return np.concatenate(weights)
+    return np.repeat([1.0 / (max(n, 1) * len(counts)) for n in counts], counts)
 
 
-def visual_loss(f_rgb, f_3d, f_rgb_to_3d, f_3d_to_rgb, mask: np.ndarray,
-                w: LossWeights, row_weights: np.ndarray | None = None) -> Tensor:
+def visual_loss(f_rgb, f_3d, f_rgb_to_3d, f_3d_to_rgb, w: LossWeights,
+                row_weights: np.ndarray) -> Tensor:
     """Bidirectional visual-geometric consistency term."""
-    return add(mul(masked_cosine_loss(f_rgb_to_3d, f_3d, mask, row_weights), w.lambda_v2g),
-               mul(masked_cosine_loss(f_3d_to_rgb, f_rgb, mask, row_weights), w.lambda_g2v))
+    return add(mul(cosine_loss(f_rgb_to_3d, f_3d, row_weights), w.lambda_v2g),
+               mul(cosine_loss(f_3d_to_rgb, f_rgb, row_weights), w.lambda_g2v))
 
 
-def text_loss(f_rgb_to_text, f_3d_to_text, text_anchors, mask: np.ndarray,
-              w: LossWeights, row_weights: np.ndarray | None = None) -> Tensor:
+def text_loss(f_rgb_to_text, f_3d_to_text, text_anchors, w: LossWeights,
+              row_weights: np.ndarray) -> Tensor:
     """Visual-linguistic alignment: pull projected patches toward their class anchor.
 
     `text_anchors` holds one row per patch: the anchor of the patch's class.
-    The same rows serve both the RGB-side and 3D-side terms.
+    The same rows serve both the RGB-side and 3D-side terms.  Each term reads
+    them through its own pass-through node (times 1.0, exact both ways), so
+    each term's gradient is summed on its own before the two are added once;
+    one running sum over the parts of both terms would round differently.
     """
-    return add(mul(masked_cosine_loss(text_anchors, f_rgb_to_text, mask, row_weights),
+    return add(mul(cosine_loss(mul(text_anchors, 1.0), f_rgb_to_text, row_weights),
                    w.lambda_v2t),
-               mul(masked_cosine_loss(text_anchors, f_3d_to_text, mask, row_weights),
+               mul(cosine_loss(mul(text_anchors, 1.0), f_3d_to_text, row_weights),
                    w.lambda_g2t))
 
 

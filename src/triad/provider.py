@@ -4,9 +4,10 @@ A dataset is a ``manifest.json`` plus one folder of TMF1 files per sample
 (``f_rgb.tmf``, ``f_3d.tmf``, ``mask.tmf`` and, for labelled samples,
 ``gt.tmf``), as written by ``triad gen-data``.  Any other feature source
 plugs in by writing the same layout.  Every read is checked: a malformed
-manifest raises `DatasetIOError`, mismatched ranks or grids raise
-`ShapeMismatchError`, non-finite features raise `NonFiniteError`, and a mask
-or ground-truth value other than 0 or 1 raises `BinaryValueError`.
+manifest, or a sample id that is not a plain folder name, raises
+`DatasetIOError`, mismatched ranks or grids raise `ShapeMismatchError`,
+non-finite features raise `NonFiniteError`, and a mask or ground-truth value
+other than 0 or 1 raises `BinaryValueError`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def _check_entry(e: dict) -> None:
         raise KeyError(f"every sample entry needs {sorted(_ENTRY_KEYS)}")
     if not (isinstance(e["id"], str) and isinstance(e["class"], str)):
         raise ValueError(f"sample id and class must be strings in {e}")
+    if e["id"] in ("", ".", "..") or Path(e["id"]).name != e["id"]:
+        raise ValueError(f"sample id must be a folder name under samples/ in {e}")
     if e["split"] not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test' in {e}")
     if not isinstance(e["is_anomalous"], bool):

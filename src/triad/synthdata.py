@@ -72,6 +72,8 @@ class ClassGenerator:
     smoothness: int
     noise_sigma: float
     border: int
+    area_frac_range: tuple[float, float]
+    corrupt_modality: str
 
 
 @dataclass
@@ -110,6 +112,8 @@ def make_class_generator(class_name: str, cfg: SynthConfig,
         smoothness=cfg.smoothness,
         noise_sigma=cfg.noise_sigma,
         border=cfg.border,
+        area_frac_range=(cfg.area_frac_min, cfg.area_frac_max),
+        corrupt_modality=cfg.corrupt_modality,
     )
 
 
@@ -157,15 +161,13 @@ def _elliptical_blob(rng: np.random.Generator, mask: np.ndarray,
     return blob
 
 
-def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed,
-                   area_frac_range: tuple[float, float] = (0.02, 0.15),
-                   corrupt_modality: str = "3d") -> LabeledSample:
-    """Corrupt one modality inside a seeded elliptical blob of the valid area."""
+def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed) -> LabeledSample:
+    """Corrupt `cg`'s modality inside a seeded elliptical blob of the valid area."""
     if s.is_anomalous:
         raise ValueError("inject_anomaly expects a nominal input sample")
     rng = _rng_from(seed)
     n_valid = int(s.mask.sum())
-    frac = rng.uniform(*area_frac_range)
+    frac = rng.uniform(*cg.area_frac_range)
     target_count = max(1, round(frac * n_valid))
     if target_count > n_valid:
         raise AnomalyPlacementError(
@@ -178,7 +180,7 @@ def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed,
     z_alt *= (3.0 ** -cg.smoothness)
     f_rgb = s.f_rgb.copy()
     f_3d = s.f_3d.copy()
-    if corrupt_modality == "3d":
+    if cg.corrupt_modality == "3d":
         f_3d[blob] = z_alt @ cg.a_3d.T + cg.noise_sigma * rng.standard_normal(
             (n_blob, cg.a_3d.shape[0]))
     else:
@@ -207,7 +209,5 @@ def gen_dataset(cfg: SynthConfig, seed: int) -> tuple[list[LabeledSample],
         for i in range(n_anom):
             base = gen_nominal(cg, children[cfg.n_train + n_test_nominal + i],
                                cfg.height, cfg.width)
-            test.append(inject_anomaly(
-                base, cg, children[cfg.n_train + cfg.n_test + i],
-                (cfg.area_frac_min, cfg.area_frac_max), cfg.corrupt_modality))
+            test.append(inject_anomaly(base, cg, children[cfg.n_train + cfg.n_test + i]))
     return train, test

@@ -82,28 +82,26 @@ def batch_loss(model: Model, batch: list[LabeledSample], w: LossWeights,
                mode: str = "train",
                dropout_rng: np.random.Generator | None = None
                ) -> tuple[Tensor, float, float]:
-    """Mean loss over a batch, built as one graph.
+    """Mean loss over a batch, built as one graph on its valid patch rows.
 
-    The patch rows of every sample are stacked, so each module runs once per
-    batch, and the anchors of the batch's classes come from one adaptor pass
-    in sorted class order.  Each patch row then takes its class's anchor row.
-    Row weights 1/(n_valid_s * B) make the weighted sums equal the mean over
-    the samples of each sample's mean over its valid patches.
+    The one place in training that reads the masks: each sample's valid rows
+    are stacked in row-major order, so invalid patches never reach the model.
+    Each module runs once per batch, and the anchors of the batch's classes
+    come from one adaptor pass in sorted class order; each row takes its
+    class's anchor row.  Row weights 1/(n_s * B) make the weighted sums the
+    mean over the samples of each sample's mean over its n_s valid rows.
     """
     classes = sorted({s.class_name for s in batch})
     anchors = model.text_anchors(classes, mode=mode, dropout_rng=dropout_rng)
-    feats = model.forward_sample(
-        np.concatenate([s.f_rgb.reshape(-1, s.f_rgb.shape[-1]) for s in batch]),
-        np.concatenate([s.f_3d.reshape(-1, s.f_3d.shape[-1]) for s in batch]))
-    masks = [s.mask.reshape(-1) for s in batch]
-    valid = np.concatenate(masks)
-    weights = sample_row_weights(masks)
-    row_class = np.repeat([classes.index(s.class_name) for s in batch],
-                          [m.size for m in masks])
+    feats = model.forward_sample(np.concatenate([s.f_rgb[s.mask] for s in batch]),
+                                 np.concatenate([s.f_3d[s.mask] for s in batch]))
+    counts = [int(np.count_nonzero(s.mask)) for s in batch]
+    weights = sample_row_weights(counts)
+    row_class = np.repeat([classes.index(s.class_name) for s in batch], counts)
     l_vis = visual_loss(feats["f_rgb"], feats["f_3d"], feats["f_rgb_to_3d"],
-                        feats["f_3d_to_rgb"], valid, w, weights)
+                        feats["f_3d_to_rgb"], w, weights)
     l_text = text_loss(feats["f_rgb_to_text"], feats["f_3d_to_text"],
-                       gather_rows(anchors, row_class), valid, w, weights)
+                       gather_rows(anchors, row_class), w, weights)
     return total_loss(l_vis, l_text), float(l_vis.data), float(l_text.data)
 
 

@@ -33,7 +33,6 @@ from triad.cli import main as cli_main
 from triad.config import build_run_config, resolve_config
 from triad.evaluate import evaluate
 from triad.gacm import GacmParams, gacm_forward, gacm_fuse
-from triad.losses import LossWeights, masked_cosine_loss
 from triad.metrics import BinaryLabeledScores, auroc, aupro
 from triad.model import Model
 from triad.octa import (
@@ -51,7 +50,7 @@ from triad.oracles import aupro_exhaustive, auroc_pair_counting
 from triad.projectors import MlpParams, project
 from triad.scoring import FusionWeights, distance_map, fuse
 from triad.synthdata import MVTEC_CLASS_NAMES, gen_dataset
-from triad.trainer import run_gradcheck, train
+from triad.trainer import batch_loss, run_gradcheck, train
 
 
 def _verdict(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -319,15 +318,31 @@ def _expert_locality_ok() -> bool:
 
 
 def _mask_independence_ok() -> bool:
-    rng = np.random.default_rng(6)
-    pred = rng.standard_normal((6, 4))
-    target = rng.standard_normal((6, 4))
-    mask = np.array([True, False, True, True, False, True])
-    base = masked_cosine_loss(pred, target, mask).item()
-    pred2, target2 = pred.copy(), target.copy()
-    pred2[~mask] = 1e9
-    target2[~mask] = -1e9
-    return masked_cosine_loss(pred2, target2, mask).item() == base
+    # NaN or +-1e9 at every invalid pixel of a batch reaches the model's input
+    # and must leave the batch loss and every parameter gradient unchanged to
+    # the last bit
+    cfg = build_run_config(resolve_config({"data": {
+        "classes": ["bagel", "dowel"], "n_train": 2, "height": 6, "width": 6}}))
+    train_samples, _ = gen_dataset(cfg.data, 6)
+    model = Model(cfg.dims, seed=6, catalog=cfg.catalog)
+
+    def loss_and_grad_bytes(batch) -> bytes:
+        model.store.zero_grad()
+        loss, _, _ = batch_loss(model, batch, cfg.train.loss_weights, mode="eval")
+        loss.backward()
+        return loss.data.tobytes() + model.store.gather_grads().tobytes()
+
+    base = loss_and_grad_bytes(train_samples)
+    ok = True
+    for bad in (np.nan, 1e9):
+        batch = []
+        for s in train_samples:
+            f_rgb, f_3d = s.f_rgb.copy(), s.f_3d.copy()
+            f_rgb[~s.mask] = bad
+            f_3d[~s.mask] = -bad
+            batch.append(replace(s, f_rgb=f_rgb, f_3d=f_3d))
+        ok &= loss_and_grad_bytes(batch) == base
+    return ok
 
 
 def _fuse_monotone_ok() -> bool:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -277,7 +278,8 @@ def test_checkpoint_missing_a_parameter_exits_3(tmp_path, data_dir, checkpoint,
 
 
 # ---------------------------------------------------------------------------
-# exit-code table: every subcommand, one stderr line, never a traceback
+# exit-code table: every subcommand, one stderr line, never a traceback or a
+# warning; a row expecting exit 0 prints nothing on stderr
 
 
 def _set_nan(path, index):
@@ -286,10 +288,18 @@ def _set_nan(path, index):
     write_tensor(path, arr)
 
 
-def _nan_at_valid_pixel(sdir):
+def _set_rgb_at_first_pixel(sdir, value, valid=True):
+    """Set channel 0 of `f_rgb` at the first valid (or invalid) pixel."""
     mask = read_tensor(sdir / "mask.tmf").astype(bool)
-    r, c = np.argwhere(mask)[0]
-    _set_nan(sdir / "f_rgb.tmf", (r, c, 0))
+    r, c = np.argwhere(mask == valid)[0]
+    path = sdir / "f_rgb.tmf"
+    arr = read_tensor(path)
+    arr[r, c, 0] = value
+    write_tensor(path, arr)
+
+
+def _nan_at_valid_pixel(sdir):
+    _set_rgb_at_first_pixel(sdir, np.nan)
 
 
 # the arguments each command takes after its --config option
@@ -449,6 +459,34 @@ def _eval_gt_value_two(ctx):
     return _eval_argv(ctx)
 
 
+def _eval_manifest_id_absolute(ctx):
+    other = str((Path(ctx.data) / "samples" / "test-00001").resolve())
+    return _edit_manifest(_set_test_field("id", other))(ctx)
+
+
+def _eval_huge_at_valid_pixel(ctx):
+    _set_rgb_at_first_pixel(Path(ctx.data) / "samples" / "test-00000", 1e200)
+    return _eval_argv(ctx)
+
+
+def _infer_huge_at_valid_pixel(ctx):
+    sdir = _sample_dir(ctx.tmp, ctx.data)
+    _set_rgb_at_first_pixel(sdir, 1e200)
+    return _infer_argv(ctx, sdir)
+
+
+def _infer_huge_at_invalid_pixel(ctx):
+    # the run must write the clean sample's map and sidecar, byte for byte
+    sdir = _sample_dir(ctx.tmp, ctx.data)
+    clean = ctx.tmp / "clean.tmf"
+    assert main(["infer", "--checkpoint", ctx.ckpt, "--sample", str(sdir),
+                 "--out", str(clean)]) == EXIT_OK
+    out = ctx.tmp / "m.tmf"
+    ctx.same_bytes = [(clean, out), (Path(f"{clean}.meta.json"), Path(f"{out}.meta.json"))]
+    _set_rgb_at_first_pixel(sdir, 1e200, valid=False)
+    return _infer_argv(ctx, sdir)
+
+
 def _gradcheck_exceeds_tolerance(ctx):
     import triad.cli as cli
     from triad.autograd import GradCheckReport
@@ -512,12 +550,18 @@ EXIT_CODE_TABLE = [
      _edit_manifest(_set_test_field("is_anomalous", "false")), EXIT_IO),
     ("eval-manifest-duplicate-id",
      _edit_manifest(_set_test_field("id", "test-00000", index=1)), EXIT_IO),
+    ("eval-manifest-id-parent-path",
+     _edit_manifest(_set_test_field("id", "../samples/test-00001")), EXIT_IO),
+    ("eval-manifest-id-absolute", _eval_manifest_id_absolute, EXIT_IO),
     ("eval-no-test-samples", _edit_manifest(_drop_split("test")), EXIT_VALIDATION),
     ("train-no-train-samples", _edit_manifest(_drop_split("train"), _train_argv),
      EXIT_VALIDATION),
     ("eval-gt-value-two", _eval_gt_value_two, EXIT_VALIDATION),
     ("infer-nan-at-valid-pixel", _infer_nan_at_valid_pixel, EXIT_VALIDATION),
     ("infer-nan-filled-mask", _infer_nan_filled_mask, EXIT_VALIDATION),
+    ("eval-huge-at-valid-pixel", _eval_huge_at_valid_pixel, EXIT_VALIDATION),
+    ("infer-huge-at-valid-pixel", _infer_huge_at_valid_pixel, EXIT_VALIDATION),
+    ("infer-huge-at-invalid-pixel", _infer_huge_at_invalid_pixel, EXIT_OK),
     ("infer-nan-in-checkpoint-array", _infer_nan_in_checkpoint, EXIT_IO),
     ("infer-missing-sample",
      lambda ctx: _infer_argv(ctx, ctx.tmp / "none"), EXIT_IO),
@@ -533,15 +577,23 @@ EXIT_CODE_TABLE = [
 def test_exit_code_table(tmp_path, cfg_path, data_dir, checkpoint, capsys,
                          monkeypatch, make_argv, expected):
     ctx = SimpleNamespace(tmp=tmp_path, cfg=cfg_path, data=data_dir,
-                          ckpt=checkpoint, monkeypatch=monkeypatch)
+                          ckpt=checkpoint, monkeypatch=monkeypatch, same_bytes=[])
     argv = make_argv(ctx)
     capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
     assert code == expected
-    assert _one_line_error(capsys)
+    assert not caught, [str(w.message) for w in caught]  # each a stderr line
+    if expected == EXIT_OK:
+        assert capsys.readouterr().err == ""
+    else:
+        assert _one_line_error(capsys)
+    for want, got in ctx.same_bytes:
+        assert got.read_bytes() == want.read_bytes(), got.name
 
 
 def test_module_entry_point_maps_errors_to_exit_codes(tmp_path, data_dir,

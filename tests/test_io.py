@@ -1,5 +1,6 @@
 """Tests for tensor/checkpoint persistence, dataset folders, and config resolution."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,21 @@ def test_load_sample_checks_ground_truth_grid(tmp_path):
 def test_corrupt_manifest_raises_dataset_io_error(tmp_path, text):
     (tmp_path / "manifest.json").write_text(text)
     with pytest.raises(DatasetIOError, match="corrupt manifest"):
+        DatasetFolderProvider(tmp_path)
+
+
+@pytest.mark.parametrize("sid", ["", ".", "..", "../train-00001", "samples/train-00001",
+                                 "/tmp/train-00001"],
+                         ids=["empty", "dot", "dot-dot", "parent-path", "sub-path",
+                              "absolute"])
+def test_manifest_id_must_be_a_folder_name(tmp_path, sid):
+    train, test = _tiny_dataset()
+    save_dataset(tmp_path, train, test, config_hash="h", seed=0)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["samples"][0]["id"] = sid
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DatasetIOError, match="folder name"):
         DatasetFolderProvider(tmp_path)
 
 

@@ -143,9 +143,9 @@ def test_anomaly_breaks_cross_modal_relation_only_inside():
 
 
 def test_anomaly_can_corrupt_rgb_instead():
-    cfg, cg = _one_generator()
+    cfg, cg = _one_generator(_small_cfg(corrupt_modality="rgb"))
     base = gen_nominal(cg, 15, 10, 10)
-    a = inject_anomaly(base, cg, 16, corrupt_modality="rgb")
+    a = inject_anomaly(base, cg, 16)
     np.testing.assert_array_equal(a.f_3d, base.f_3d)
     assert np.abs(a.f_rgb[a.gt_pixels] - base.f_rgb[a.gt_pixels]).max() > 0.0
 

@@ -241,8 +241,9 @@ def test_run_gradcheck_covers_every_parameter_once():
 def _reference_batch_loss(model, batch, w, mode="eval", dropout_rng=None):
     """Every module once per sample and the adaptor once per class, sorted.
 
-    Each class draws its own 1 x D_text dropout mask, in sorted class order,
-    and each sample's loss is the mean over its valid patches.
+    Each class draws its own 1 x D_text dropout mask, in sorted class order.
+    Each sample runs on its full grid; its valid rows are then picked, and its
+    loss is the mean over them.
     """
     classes = sorted({s.class_name for s in batch})
     anchors = {c: model.text_anchor(c, mode=mode, dropout_rng=dropout_rng)
@@ -250,12 +251,14 @@ def _reference_batch_loss(model, batch, w, mode="eval", dropout_rng=None):
     l_vis = l_text = Tensor(0.0)
     for s in batch:
         f = model.forward_sample(s.f_rgb, s.f_3d)
-        mask = s.mask.reshape(-1)
-        rows = gather_rows(anchors[s.class_name], np.zeros(mask.size, dtype=np.intp))
+        idx = np.flatnonzero(s.mask)
+        f = {k: gather_rows(v, idx) for k, v in f.items()}
+        rows = gather_rows(anchors[s.class_name], np.zeros(idx.size, dtype=np.intp))
+        weights = np.full(idx.size, 1.0 / max(idx.size, 1))
         l_vis = add(l_vis, visual_loss(f["f_rgb"], f["f_3d"], f["f_rgb_to_3d"],
-                                       f["f_3d_to_rgb"], mask, w))
+                                       f["f_3d_to_rgb"], w, weights))
         l_text = add(l_text, text_loss(f["f_rgb_to_text"], f["f_3d_to_text"],
-                                       rows, mask, w))
+                                       rows, w, weights))
     return add(mul(l_vis, 1.0 / len(batch)), mul(l_text, 1.0 / len(batch)))
 
 
@@ -322,10 +325,37 @@ def test_stacked_loss_counts_sample_without_valid_patch(caplog):
     assert full == pytest.approx(rest * (len(batch) - 1) / len(batch), rel=1e-12)
 
 
-def test_stacked_loss_all_invalid_batch_is_zero():
+def test_stacked_loss_all_invalid_batch_is_zero(caplog):
     batch = [_without_valid_patches(s) for s in _mixed_data()]
-    ref, grads = _assert_matches_reference(_model(seed=12), batch)
+    with caplog.at_level(logging.WARNING, logger="triad.losses"):
+        ref, grads = _assert_matches_reference(_model(seed=12), batch)
     assert ref == 0.0 and all(not g.any() for g in grads.values())
+    assert sum("no valid patch" in r.getMessage() for r in caplog.records) == len(batch)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e9], ids=["nan", "1e9"])
+def test_values_at_invalid_pixels_cannot_reach_loss_or_gradients(bad):
+    # invalid patches are dropped before the forward, so even a NaN there
+    # leaves the value and every parameter gradient the same to the last bit
+    batch = _mixed_data()
+    model = _model(seed=19)
+    w = LossWeights(lambda_v2g=1.0, lambda_g2v=0.5, lambda_v2t=2.0, lambda_g2t=0.75)
+
+    def build(b):
+        return lambda: batch_loss(model, b, w, mode="eval")[0]
+
+    clean, clean_g = _loss_and_grads(model, build(batch))
+    s = batch[2]
+    assert not s.mask.all()
+    f_rgb, f_3d = s.f_rgb.copy(), s.f_3d.copy()
+    f_rgb[~s.mask] = bad
+    f_3d[~s.mask] = -bad
+    batch[2] = LabeledSample(s.class_name, f_rgb, f_3d, s.mask, s.gt_pixels,
+                             s.is_anomalous)
+    got, got_g = _loss_and_grads(model, build(batch))
+    assert np.float64(got).tobytes() == np.float64(clean).tobytes()
+    for name, g in clean_g.items():
+        assert got_g[name].tobytes() == g.tobytes(), name
 
 
 def test_stacked_loss_matches_reference_train_mode_dropout():
@@ -358,9 +388,10 @@ def _graph_nodes(root):
     return len(seen)
 
 
-def test_default_config_step_builds_at_most_180_nodes():
-    # one graph per batch: the count does not grow with the batch size, and
-    # each affine map, LayerNorm and cosine is one node
+def test_default_config_step_builds_at_most_160_nodes():
+    # one graph per batch: the count does not grow with the batch size, each
+    # affine map, LayerNorm and cosine is one node, and the valid rows are
+    # picked before the forward, not gathered in the loss
     cfg = build_run_config(resolve_config())
     train_samples, _ = gen_dataset(cfg.data, cfg.seed)
     model = Model(cfg.dims, seed=cfg.seed, catalog=cfg.catalog)
@@ -369,10 +400,10 @@ def test_default_config_step_builds_at_most_180_nodes():
     assert len({s.class_name for s in batch}) == len(cfg.data.classes)
     loss, _, _ = batch_loss(model, batch, cfg.train.loss_weights, mode="train",
                             dropout_rng=np.random.default_rng(0))
-    assert _graph_nodes(loss) <= 180
+    assert _graph_nodes(loss) <= 160
 
 
-def test_gradcheck_objective_builds_at_most_100_nodes(monkeypatch):
+def test_gradcheck_objective_builds_at_most_88_nodes(monkeypatch):
     # every graph node, leaf results included, is made by autograd._make
     import triad.autograd as ag
     import triad.trainer as trainer_mod
@@ -391,4 +422,4 @@ def test_gradcheck_objective_builds_at_most_100_nodes(monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "finite_diff_gradient_check", one_objective)
     run_gradcheck()
-    assert 0 < len(built) <= 100
+    assert 0 < len(built) <= 88
