@@ -1,5 +1,7 @@
 """Tests for the cosine alignment losses and the total objective."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from triad.autograd import DimensionMismatchError, NonFiniteError, Tensor
 from triad.losses import (
     LossWeights,
     cosine_loss,
+    sample_row_weights,
     text_loss,
     total_loss,
     visual_loss,
@@ -51,6 +54,24 @@ def test_loss_within_cosine_bounds():
         target = rng.standard_normal((8, 5))
         v = cosine_loss(pred, target, _mean_weights(8)).item()
         assert 0.0 <= v <= 2.0
+
+
+def test_empty_mask_contributes_zero_with_warning(caplog):
+    # a sample with no valid patch adds no rows but still counts in the 1/B
+    # mean, so it contributes exactly 0; an all-empty batch sums no rows
+    pred = np.array([[1.0, 0.0], [1.0, 0.0]])
+    target = np.array([[2.0, 0.0], [0.0, 3.0]])  # per-row losses 0 and 1
+    with caplog.at_level(logging.WARNING, logger="triad.losses"):
+        w = sample_row_weights([2, 0])
+    np.testing.assert_array_equal(w, [0.25, 0.25])
+    assert cosine_loss(pred, target, w).item() == pytest.approx(0.25)
+    assert sum("no valid patch" in r.getMessage() for r in caplog.records) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="triad.losses"):
+        w = sample_row_weights([0, 0, 0])
+    assert w.shape == (0,)
+    assert cosine_loss(np.ones((0, 2)), np.ones((0, 2)), w).item() == 0.0
+    assert sum("no valid patch" in r.getMessage() for r in caplog.records) == 3
 
 
 def test_shape_mismatch_rejected():
