@@ -77,19 +77,24 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
 
 
 def _integrate_to_limit(fprs: np.ndarray, pros: np.ndarray, limit: float) -> float:
-    """Trapezoid area under the (fpr, pro) polyline from 0 up to `limit`."""
-    area = 0.0
-    for i in range(1, len(fprs)):
-        x0, y0, x1, y1 = fprs[i - 1], pros[i - 1], fprs[i], pros[i]
-        if x0 >= limit:
-            break
+    """Trapezoid area under the (fpr, pro) polyline from 0 up to `limit`.
+
+    `fprs` rises from 0 and never falls, and `limit` > 0.  The bits are those
+    of a loop that adds each segment's `(x1 - x0) * (y0 + y1) / 2.0` to a
+    running area from 0.0 and stops at the first segment reaching `limit`,
+    clipped there by linear interpolation: the full segments' terms are
+    computed elementwise, the clipped one as scalars, and `cumsum` adds them
+    in the loop's order.
+    """
+    k = 1 + int(np.searchsorted(fprs[1:], limit, side="left"))  # first x1 >= limit
+    terms = [[0.0], (fprs[1:k] - fprs[:k - 1]) * (pros[:k - 1] + pros[1:k]) / 2.0]
+    if k < len(fprs):
+        x0, y0, x1, y1 = fprs[k - 1], pros[k - 1], fprs[k], pros[k]
         if x1 > limit:
             y1 = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)
             x1 = limit
-        area += (x1 - x0) * (y0 + y1) / 2.0
-        if x1 >= limit:
-            break
-    return area
+        terms.append([(x1 - x0) * (y0 + y1) / 2.0])
+    return np.cumsum(np.concatenate(terms))[-1]
 
 
 def pro_curve(maps, gt_masks, valid) -> tuple[np.ndarray, np.ndarray]:

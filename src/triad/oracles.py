@@ -3,9 +3,10 @@
 These deliberately avoid the counting tricks of :mod:`triad.metrics` (ranks,
 sorted scores, binary search, cumulative sums): the AUROC oracle compares
 every positive/negative pair, and the AUPRO oracle rebuilds the thresholded
-prediction mask for every distinct score value.  Each brute-force step is one
-array operation, and every count is an exact integer, so the values equal
-those of the plain loops to the last bit.
+prediction of every negative and every region pixel for every distinct score
+value.  Each array operation handles a block of rows (positives, or
+thresholds) at a time, and every count is an exact integer, so the values
+equal those of the plain loops to the last bit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .metrics import MetricError, connected_components
 
 
 _PAIR_BLOCK_ROWS = 256  # positives per block: a (256, N) comparison at a time
+_SWEEP_BLOCK_ROWS = 128  # thresholds per block: a (128, N) comparison at a time
 
 
 def auroc_pair_counting(scores, labels) -> float:
@@ -41,44 +43,45 @@ def pro_points_exhaustive(maps, gt_masks, valid,
     """(FPR, PRO) points threshold by threshold, strictest first, from (0, 0).
 
     Every distinct valid score is a threshold, and each one rebuilds the
-    prediction mask of every pixel from scratch.  The samples' pixels are
-    pooled flat, so grids may differ in size; each ground-truth region
-    (clipped to valid pixels) is a run of flat indices into the pool.  The
+    prediction of every negative valid pixel and every region pixel from
+    scratch.  The samples' scores are pooled, so grids may differ in size;
+    each ground-truth region (clipped to valid pixels) is a run of the pooled
+    region scores.  Each array operation handles a block of
+    `_SWEEP_BLOCK_ROWS` descending thresholds, one row per threshold.  The
     sweep ends at the first point whose FPR reaches `fpr_stop`: integrating
     up to any limit <= `fpr_stop` never reads a later point.
     """
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     gt_masks = [np.asarray(g, dtype=bool) for g in gt_masks]
     valid = [np.asarray(v, dtype=bool) for v in valid]
-    region_px, starts = [], []  # flat pool indices of each region's valid pixels
-    offset = n_region_px = 0
-    for gt, v in zip(gt_masks, valid):
+    region_scores, starts = [], []  # each region's valid-pixel scores
+    n_region_px = 0
+    for m, gt, v in zip(maps, gt_masks, valid):
         for comp in connected_components(gt):
             keep = v[comp[:, 0], comp[:, 1]]
             if keep.any():
-                region_px.append(offset + np.ravel_multi_index(
-                    (comp[keep, 0], comp[keep, 1]), gt.shape))
+                region_scores.append(m[comp[keep, 0], comp[keep, 1]])
                 starts.append(n_region_px)
-                n_region_px += region_px[-1].size
-        offset += gt.size
-    if not region_px:
+                n_region_px += region_scores[-1].size
+    if not region_scores:
         raise MetricError("aupro undefined: no ground-truth region")
-    neg = np.concatenate([(v & ~gt).ravel() for gt, v in zip(gt_masks, valid)])
-    neg_total = int(np.count_nonzero(neg))
+    neg_scores = np.concatenate([m[v & ~gt] for m, gt, v in zip(maps, gt_masks, valid)])
+    neg_total = neg_scores.size
     if neg_total == 0:
         raise MetricError("aupro undefined: no normal valid pixel")
-    pooled = np.concatenate([m.ravel() for m in maps])
-    sizes = np.array([r.size for r in region_px])
-    region_px = np.concatenate(region_px)
+    sizes = np.array([r.size for r in region_scores])
+    region_scores = np.concatenate(region_scores)
     thresholds = np.unique(np.concatenate([m[v] for m, v in zip(maps, valid)]))[::-1]
     points = [(0.0, 0.0)]
-    for t in thresholds:
-        pred = pooled >= t
-        fp = int(np.count_nonzero(pred & neg))
-        hits = np.add.reduceat(pred[region_px], starts, dtype=np.int64)
-        points.append((fp / neg_total, float(np.mean(hits / sizes))))
-        if points[-1][0] >= fpr_stop:
-            break
+    for i in range(0, thresholds.size, _SWEEP_BLOCK_ROWS):
+        t = thresholds[i:i + _SWEEP_BLOCK_ROWS, None]
+        fp = np.count_nonzero(neg_scores >= t, axis=1)
+        hits = np.add.reduceat(region_scores >= t, starts, axis=1, dtype=np.int64)
+        pro = np.mean(hits / sizes, axis=1)
+        for fp_t, pro_t in zip(fp.tolist(), pro.tolist()):
+            points.append((fp_t / neg_total, pro_t))
+            if points[-1][0] >= fpr_stop:
+                return points
     return points
 
 

@@ -6,8 +6,11 @@ A dataset is a ``manifest.json`` plus one folder of TMF1 files per sample
 plugs in by writing the same layout.  Every read is checked: a malformed
 manifest, or a sample id that is not a plain folder name, raises
 `DatasetIOError`, mismatched ranks or grids raise `ShapeMismatchError`,
-non-finite features raise `NonFiniteError`, and a mask or ground-truth value
-other than 0 or 1 raises `BinaryValueError`.
+a non-finite feature at a valid pixel raises `NonFiniteError`, and a mask or
+ground-truth value other than 0 or 1 raises `BinaryValueError`.  Features at
+invalid pixels are not checked: nothing reads them (training stacks the
+valid rows only, and scoring zeroes the invalid pixels), so missing depth
+may be stored there as NaN.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ def read_features(sdir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read one sample folder's (H, W, D) feature grids and (H, W) mask.
 
     Raises `ShapeMismatchError` unless both grids are rank 3 and the mask
-    rank 2 over one (H, W) grid, `NonFiniteError` if any feature value, at a
-    valid pixel or not, is NaN or infinite, and `BinaryValueError` unless
-    every mask value is 0 or 1.
+    rank 2 over one (H, W) grid, `NonFiniteError` if a feature value at a
+    valid pixel is NaN or infinite, and `BinaryValueError` unless every mask
+    value is 0 or 1.  Values at invalid pixels may be anything, NaN included.
     """
     sdir = Path(sdir)
     f_rgb = np.asarray(read_tensor(sdir / "f_rgb.tmf"), dtype=np.float64)
@@ -93,8 +96,8 @@ def read_features(sdir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ShapeMismatchError(
             f"{sdir}: grid mismatch ({f_rgb.shape[:2]} vs {f_3d.shape[:2]} "
             f"vs {mask.shape})")
-    if not (np.isfinite(f_rgb).all() and np.isfinite(f_3d).all()):
-        raise NonFiniteError(f"{sdir}: non-finite feature values")
+    if not (np.isfinite(f_rgb[mask]).all() and np.isfinite(f_3d[mask]).all()):
+        raise NonFiniteError(f"{sdir}: non-finite feature values at valid pixels")
     return f_rgb, f_3d, mask
 
 

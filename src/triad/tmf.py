@@ -13,6 +13,7 @@ checkpoint reproduces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -53,7 +54,7 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     shape = struct.unpack_from(f"<{rank}I", buf, offset + 6)
     dtype = _DTYPES[code]
     start = offset + 6 + 4 * rank
-    count = int(np.prod(shape)) if rank else 1
+    count = math.prod(shape)  # exact: np.prod would wrap in int64
     end = start + count * dtype.itemsize
     if end > len(buf):
         raise TmfFormatError("truncated TMF1 payload")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -302,6 +303,15 @@ def _nan_at_valid_pixel(sdir):
     _set_rgb_at_first_pixel(sdir, np.nan)
 
 
+def _nan_at_invalid_pixels(sdir):
+    """Set both feature grids to NaN at every invalid pixel."""
+    invalid = read_tensor(sdir / "mask.tmf") == 0
+    for name in ("f_rgb.tmf", "f_3d.tmf"):
+        arr = read_tensor(sdir / name)
+        arr[invalid] = np.nan
+        write_tensor(sdir / name, arr)
+
+
 # the arguments each command takes after its --config option
 _AFTER_CONFIG = {
     "gen-data": lambda ctx: ["--out", str(ctx.tmp / "d")],
@@ -333,9 +343,9 @@ def _eval_argv(ctx, *extra):
             "--out", str(ctx.tmp / "r.json"), *extra]
 
 
-def _infer_argv(ctx, sdir):
+def _infer_argv(ctx, sdir, *extra):
     return ["infer", "--checkpoint", ctx.ckpt, "--sample", str(sdir),
-            "--out", str(ctx.tmp / "m.tmf")]
+            "--out", str(ctx.tmp / "m.tmf"), *extra]
 
 
 def _gen_data_unwritable(ctx):
@@ -349,7 +359,16 @@ def _train_truncated_manifest(ctx):
 
 
 def _train_nan_sample(ctx):
-    _set_nan(Path(ctx.data) / "samples" / "train-00000" / "f_3d.tmf", (0, 0, 0))
+    # (1, 1) is a valid pixel: the border of one pixel is invalid
+    _set_nan(Path(ctx.data) / "samples" / "train-00000" / "f_3d.tmf", (1, 1, 0))
+    return _train_argv(ctx)
+
+
+def _train_nan_at_invalid_pixels(ctx):
+    # the run must write the clean data's checkpoint, byte for byte
+    for sdir in (Path(ctx.data) / "samples").glob("train-*"):
+        _nan_at_invalid_pixels(sdir)
+    ctx.same_bytes = [(Path(ctx.ckpt), ctx.tmp / "new.ckpt")]
     return _train_argv(ctx)
 
 
@@ -487,6 +506,27 @@ def _infer_huge_at_invalid_pixel(ctx):
     return _infer_argv(ctx, sdir)
 
 
+def _infer_nan_at_invalid_pixels(ctx):
+    # the run must write the clean sample's map, sidecar and PGM, byte for byte
+    sdir = _sample_dir(ctx.tmp, ctx.data)
+    clean = ctx.tmp / "clean.tmf"
+    assert main(["infer", "--checkpoint", ctx.ckpt, "--sample", str(sdir),
+                 "--out", str(clean), "--pgm"]) == EXIT_OK
+    out = ctx.tmp / "m.tmf"
+    ctx.same_bytes = [(Path(f"{clean}{ext}"), Path(f"{out}{ext}"))
+                      for ext in ("", ".meta.json", ".pgm")]
+    _nan_at_invalid_pixels(sdir)
+    return _infer_argv(ctx, sdir, "--pgm")
+
+
+def _infer_overflowing_extents(ctx):
+    # extents whose product wraps in int64 to a negative element count
+    sdir = _sample_dir(ctx.tmp, ctx.data)
+    (sdir / "f_rgb.tmf").write_bytes(
+        b"TMF1" + struct.pack("<BB3I", 2, 3, 2**32 - 1, 2**32 - 1, 4))
+    return _infer_argv(ctx, sdir)
+
+
 def _gradcheck_exceeds_tolerance(ctx):
     import triad.cli as cli
     from triad.autograd import GradCheckReport
@@ -530,6 +570,7 @@ EXIT_CODE_TABLE = [
                   "--out", str(ctx.tmp / "ck")], EXIT_IO),
     ("train-truncated-manifest", _train_truncated_manifest, EXIT_IO),
     ("train-nan-in-train-sample", _train_nan_sample, EXIT_VALIDATION),
+    ("train-nan-at-invalid-pixels", _train_nan_at_invalid_pixels, EXIT_OK),
     ("train-anomalous-train-sample", _train_anomalous_sample, EXIT_VALIDATION),
     ("train-feature-width-mismatch", _train_width_mismatch, EXIT_VALIDATION),
     ("eval-header-classes-not-a-list", _eval_header_classes_not_a_list, EXIT_CONFIG),
@@ -562,7 +603,9 @@ EXIT_CODE_TABLE = [
     ("eval-huge-at-valid-pixel", _eval_huge_at_valid_pixel, EXIT_VALIDATION),
     ("infer-huge-at-valid-pixel", _infer_huge_at_valid_pixel, EXIT_VALIDATION),
     ("infer-huge-at-invalid-pixel", _infer_huge_at_invalid_pixel, EXIT_OK),
+    ("infer-nan-at-invalid-pixels", _infer_nan_at_invalid_pixels, EXIT_OK),
     ("infer-nan-in-checkpoint-array", _infer_nan_in_checkpoint, EXIT_IO),
+    ("infer-overflowing-tmf-extents", _infer_overflowing_extents, EXIT_IO),
     ("infer-missing-sample",
      lambda ctx: _infer_argv(ctx, ctx.tmp / "none"), EXIT_IO),
     ("gradcheck-unknown-config-key",

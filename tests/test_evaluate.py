@@ -94,3 +94,27 @@ def test_evaluate_oracle_check_catches_corruption(monkeypatch):
     monkeypatch.setattr(ev, "auroc", wrong_auroc)
     with pytest.raises(OracleMismatchError):
         ev.evaluate(model, test, FusionWeights(), [0.3], oracle_check=True)
+
+
+def test_oracle_check_sweeps_once_per_class_and_integrates_per_limit(monkeypatch):
+    # the benchmark counts `aupro_exhaustive` calls and replaces it with a
+    # function of positional arguments only, so this call shape is pinned
+    _, test = _data(seed=5)
+    model = Model(DIMS, seed=5)
+    sweeps, integrations = [], []
+
+    def record(calls, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((args, kwargs, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(ev, "pro_points_exhaustive", record(sweeps, ev.pro_points_exhaustive))
+    monkeypatch.setattr(ev, "aupro_exhaustive", record(integrations, ev.aupro_exhaustive))
+    evaluate(model, test, FusionWeights(), [0.3, 0.05], oracle_check=True)
+    assert len(sweeps) == 2  # one per class
+    assert [(len(args), kwargs, args[3]) for args, kwargs, _ in integrations] == [
+        (5, {}, 0.3), (5, {}, 0.05)] * 2
+    for c, (_, _, points) in enumerate(sweeps):  # each class's limits share its sweep
+        assert integrations[2 * c][0][4] is integrations[2 * c + 1][0][4] is points

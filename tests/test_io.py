@@ -1,6 +1,7 @@
 """Tests for tensor/checkpoint persistence, dataset folders, and config resolution."""
 
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -70,6 +71,14 @@ def test_tensor_truncated_payload_rejected():
     buf = tensor_bytes(np.ones((4, 4)))
     with pytest.raises(TmfFormatError, match="truncated"):
         tensor_from_bytes(buf[:-8])
+
+
+def test_tensor_extents_beyond_int64_rejected_as_truncated(tmp_path):
+    # the extents' product, 2**66 - 2**35 + 4, wraps in int64 to a negative count
+    p = tmp_path / "t.tmf"
+    p.write_bytes(b"TMF1" + struct.pack("<BB3I", 2, 3, 2**32 - 1, 2**32 - 1, 4))
+    with pytest.raises(TmfFormatError, match="truncated TMF1 payload"):
+        read_tensor(p)
 
 
 def test_tensor_every_truncation_rejected():
@@ -202,11 +211,17 @@ def test_provider_unknown_ref(tmp_path):
         DatasetFolderProvider(tmp_path).provide("train-99999")
 
 
+def _with_nan(a, index):
+    """A copy of `a` with NaN at `index`; (1, 1) is valid with a border of 1."""
+    a = a.copy()
+    a[index] = np.nan
+    return a
+
+
 @pytest.mark.parametrize("name,value,error", [
     ("f_3d.tmf", lambda a: a[:3], ShapeMismatchError),
     ("mask.tmf", lambda a: a[0], ShapeMismatchError),
-    ("f_rgb.tmf", lambda a: np.concatenate([a[:1] * np.nan, a[1:]]),
-     NonFiniteError),
+    ("f_rgb.tmf", lambda a: _with_nan(a, (1, 1, 0)), NonFiniteError),
 ], ids=["grid-mismatch", "rank-mismatch", "non-finite"])
 def test_read_features_checks_rank_grid_and_finiteness(tmp_path, name, value,
                                                        error):
@@ -221,6 +236,22 @@ def test_read_features_checks_rank_grid_and_finiteness(tmp_path, name, value,
         read_features(sdir)
     with pytest.raises(error):
         DatasetFolderProvider(tmp_path).load_split("train")
+
+
+def test_read_features_ignores_values_at_invalid_pixels(tmp_path):
+    train, test = _tiny_dataset()
+    save_dataset(tmp_path, train, test, config_hash="h", seed=0)
+    sdir = tmp_path / "samples" / "train-00000"
+    invalid = ~train[0].mask
+    for name in ("f_rgb.tmf", "f_3d.tmf"):
+        arr = read_tensor(sdir / name)
+        arr[invalid] = np.nan
+        write_tensor(sdir / name, arr)
+    f_rgb, f_3d, mask = read_features(sdir)
+    np.testing.assert_array_equal(mask, train[0].mask)
+    np.testing.assert_array_equal(f_rgb[mask], train[0].f_rgb[mask])
+    np.testing.assert_array_equal(f_3d[mask], train[0].f_3d[mask])
+    assert np.isnan(f_rgb[invalid]).all() and np.isnan(f_3d[invalid]).all()
 
 
 def test_load_sample_checks_ground_truth_grid(tmp_path):

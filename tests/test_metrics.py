@@ -11,13 +11,19 @@ import triad.oracles
 from triad.metrics import (
     BinaryLabeledScores,
     MetricError,
+    _integrate_to_limit,
     aupro,
     auroc,
     connected_components,
     pixel_auroc,
     pro_curve,
 )
-from triad.oracles import aupro_exhaustive, auroc_pair_counting, pro_points_exhaustive
+from triad.oracles import (
+    _SWEEP_BLOCK_ROWS,
+    aupro_exhaustive,
+    auroc_pair_counting,
+    pro_points_exhaustive,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +240,43 @@ def test_aupro_curve_shared_by_limits(seed):
         assert aupro(maps, gts, vs, limit, curve) == aupro(maps, gts, vs, limit)
 
 
+def _integrate_loop(fprs, pros, limit):
+    """Reference: the segment-by-segment loop that the array integration replaces."""
+    area = 0.0
+    for i in range(1, len(fprs)):
+        x0, y0, x1, y1 = fprs[i - 1], pros[i - 1], fprs[i], pros[i]
+        if x0 >= limit:
+            break
+        if x1 > limit:
+            y1 = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)
+            x1 = limit
+        area += (x1 - x0) * (y0 + y1) / 2.0
+        if x1 >= limit:
+            break
+    return area
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integration_equals_the_segment_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    # rounded FPRs tie; a curve ending below 1 puts the limit 1.0 beyond it
+    fprs = np.sort(np.round(rng.random(n) * rng.uniform(0.5, 1.0), int(rng.integers(1, 4))))
+    fprs[0] = 0.0
+    pros = np.concatenate([[0.0], np.sort(rng.random(n - 1))])
+    for limit in (0.01, 0.3, 1.0, float(fprs[int(rng.integers(1, n))]) or 0.5):
+        got = _integrate_to_limit(fprs, pros, limit)
+        assert got == _integrate_loop(fprs, pros, limit)
+
+
+def test_integration_edge_curves():
+    one = np.array([0.0])
+    assert _integrate_to_limit(one, one, 0.3) == _integrate_loop(one, one, 0.3) == 0.0
+    fprs, pros = np.array([0.0, 0.2, 0.2, 0.5]), np.array([0.0, 0.4, 0.6, 1.0])
+    for limit in (0.1, 0.2, 0.3, 0.5, 1.0):  # on a point, on a tie, past the end
+        assert _integrate_to_limit(fprs, pros, limit) == _integrate_loop(fprs, pros, limit)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exhaustive_sweep_shared_by_limits(seed):
     # one sweep stopped at the largest limit gives every limit's exact value
@@ -335,6 +378,49 @@ def test_pro_points_equal_the_threshold_loop(seed, fpr_stop):
     maps, gts, valid = _ragged_instance(rng)
     got = pro_points_exhaustive(maps, gts, valid, fpr_stop)
     assert got == _pro_points_loop(maps, gts, valid, fpr_stop)
+    assert all(type(x) is float and type(y) is float for x, y in got)
+
+
+def _many_threshold_instance(rng, n_thresholds):
+    """Ragged samples whose valid scores take exactly `n_thresholds` distinct
+    values, each held by a negative valid pixel, so that every threshold
+    raises the FPR; region pixels reuse those values and invalid pixels hold
+    scores of their own, which must not become thresholds."""
+    maps, gts, valid = [], [], []
+    for h, w in ((17, 23), (20, 14), (11, 19)):
+        gt = np.zeros((h, w), dtype=bool)
+        for _ in range(3):
+            r, c = int(rng.integers(0, h - 3)), int(rng.integers(0, w - 3))
+            gt[r:r + int(rng.integers(1, 4)), c:c + int(rng.integers(1, 4))] = True
+        gts.append(gt)
+        valid.append(rng.random((h, w)) > 0.1)
+        maps.append(rng.random((h, w)) + 2.0)
+    levels = rng.permutation(n_thresholds) / n_thresholds
+    negs = [v & ~g for v, g in zip(valid, gts)]
+    n_neg = sum(int(n.sum()) for n in negs)
+    assert n_neg >= n_thresholds
+    neg_scores = np.concatenate([levels, rng.choice(levels, n_neg - n_thresholds)])
+    for m, g, v, n in zip(maps, gts, valid, negs):
+        k = int(n.sum())
+        m[n], neg_scores = neg_scores[:k], neg_scores[k:]
+        m[v & g] = rng.choice(levels, int((v & g).sum()))
+    return maps, gts, valid
+
+
+@pytest.mark.parametrize("n_thresholds", [4 * _SWEEP_BLOCK_ROWS, 4 * _SWEEP_BLOCK_ROWS + 37])
+@pytest.mark.parametrize("stop_row", ["first-of-block", "last-of-block", "end", "never"])
+def test_pro_points_equal_the_loop_at_block_boundaries(n_thresholds, stop_row):
+    maps, gts, valid = _many_threshold_instance(np.random.default_rng(n_thresholds),
+                                                n_thresholds)
+    full = _pro_points_loop(maps, gts, valid, 2.0)
+    assert len(full) == n_thresholds + 1  # an FPR never exceeds 1: no early stop
+    # threshold j is point j + 1; the FPRs rise strictly, so the stop is exact
+    j = {"first-of-block": 2 * _SWEEP_BLOCK_ROWS, "last-of-block": 3 * _SWEEP_BLOCK_ROWS - 1,
+         "end": n_thresholds - 1, "never": None}[stop_row]
+    fpr_stop = 2.0 if j is None else full[j + 1][0]
+    want = full if j is None else full[:j + 2]
+    got = pro_points_exhaustive(maps, gts, valid, fpr_stop)
+    assert got == want == _pro_points_loop(maps, gts, valid, fpr_stop)
     assert all(type(x) is float and type(y) is float for x, y in got)
 
 
