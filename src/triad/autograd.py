@@ -37,6 +37,12 @@ from scipy.special import erf as _erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_COSINE_EPS = 1e-8  # norms below this are clamped in cosine_rows
+
+# Finite-difference gradient check: the central-difference step, and the
+# largest per-coordinate relative error at which a check passes.
+FD_EPSILON = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
 
 
 class DimensionMismatchError(ValueError):
@@ -358,17 +364,17 @@ def layer_norm(x, gain, shift) -> Tensor:
     return _make(data, (x, gain, shift), bw)
 
 
-def cosine_rows(a, b, eps: float = 1e-8) -> Tensor:
-    """Row-wise cosine similarity of two (N, D) tensors; eps clamps norms.
+def cosine_rows(a, b) -> Tensor:
+    """Row-wise cosine similarity of two (N, D) tensors; tiny norms are clamped.
 
-    One graph node.  The squared norms are clamped at eps**2 before the
-    root, so a zero row's gradient is 0, not 0/0.
+    One graph node.  The squared norms are clamped at `_COSINE_EPS`**2 before
+    the root, so a zero row's gradient is 0, not 0/0.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
         raise DimensionMismatchError(
             f"cosine_rows shapes differ: {a.data.shape} vs {b.data.shape}")
-    eps2 = eps * eps
+    eps2 = _COSINE_EPS * _COSINE_EPS
     dot = (a.data * b.data).sum(axis=-1)
     sq_a = (a.data * a.data).sum(axis=-1)
     sq_b = (b.data * b.data).sum(axis=-1)
@@ -472,26 +478,25 @@ class LinearParams:
 
 
 def linear_forward(x, p: LinearParams) -> Tensor:
-    """y = x @ W + b along the last axis of x, as one graph node."""
+    """y = x @ W + b for (N, D_in) rows x, as one graph node."""
     x = as_tensor(x)
-    if x.data.shape[-1] != p.d_in:
-        raise DimensionMismatchError(
-            f"linear_forward input extent {x.data.shape[-1]} != weight extent {p.d_in}")
-    w, bias = p.weight, p.bias
-    flat = x.data.reshape(-1, p.d_in) if x.data.ndim != 2 else x.data
-    data = flat @ w.data
-    data += bias.data
     if x.data.ndim != 2:
-        data = data.reshape(x.data.shape[:-1] + (p.d_out,))
+        raise DimensionMismatchError(
+            f"linear_forward expects 2-D input, got {x.data.ndim}-D")
+    if x.data.shape[1] != p.d_in:
+        raise DimensionMismatchError(
+            f"linear_forward input extent {x.data.shape[1]} != weight extent {p.d_in}")
+    w, bias = p.weight, p.bias
+    data = x.data @ w.data
+    data += bias.data
 
     def bw(g):
-        g = g.reshape(flat.shape[0], p.d_out)
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
-            x._accumulate((g @ w.data.T).reshape(x.data.shape))
+            x._accumulate(g @ w.data.T)
         if w.requires_grad:
-            w._accumulate(flat.T @ g)
+            w._accumulate(x.data.T @ g)
 
     return _make(data, (x, w, bias), bw)
 
@@ -512,8 +517,8 @@ class GradCheckReport:
             self.worst_parameter = ""
             self.max_relative_error = 0.0
 
-    def passed(self, tolerance: float = 1e-4) -> bool:
-        return self.max_relative_error <= tolerance
+    def passed(self) -> bool:
+        return self.max_relative_error <= GRADCHECK_TOLERANCE
 
     def __repr__(self):
         return (f"GradCheckReport(max_relative_error={self.max_relative_error:.3e}, "
@@ -521,12 +526,12 @@ class GradCheckReport:
 
 
 def finite_diff_gradient_check(objective: Callable[[], Tensor],
-                               params: ParameterStore,
-                               epsilon: float = 1e-5) -> GradCheckReport:
+                               params: ParameterStore) -> GradCheckReport:
     """Compare analytic gradients of a scalar objective with central differences.
 
-    `objective` must rebuild its graph from the current parameter values on
-    every call.  Relative error per coordinate is |a - n| / max(|a|, |n|, 1e-8).
+    Each coordinate is perturbed by +-`FD_EPSILON`.  `objective` must rebuild
+    its graph from the current parameter values on every call.  Relative
+    error per coordinate is |a - n| / max(|a|, |n|, 1e-8).
     """
     params.zero_grad()
     out = objective()
@@ -543,15 +548,15 @@ def finite_diff_gradient_check(objective: Callable[[], Tensor],
         for i in range(flat.size):
             orig = flat[i]
             with no_grad():  # only the values of the perturbed forwards are read
-                flat[i] = orig + epsilon
+                flat[i] = orig + FD_EPSILON
                 f_plus = float(objective().data)
-                flat[i] = orig - epsilon
+                flat[i] = orig - FD_EPSILON
                 f_minus = float(objective().data)
             flat[i] = orig
             if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                 raise NonFiniteError(
                     f"objective became non-finite while perturbing parameter {name!r}")
-            num[i] = (f_plus - f_minus) / (2.0 * epsilon)
+            num[i] = (f_plus - f_minus) / (2.0 * FD_EPSILON)
         a = analytic[name].ravel()
         denom = np.maximum(np.maximum(np.abs(a), np.abs(num)), 1e-8)
         errors[name] = float(np.max(np.abs(a - num) / denom)) if flat.size else 0.0

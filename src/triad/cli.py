@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import NonFiniteError
-from .config import ConfigError, build_run_config, load_config
+from .autograd import GRADCHECK_TOLERANCE, NonFiniteError
+from .config import ConfigError, build_run_config, check_fpr_limits, load_config
 from .evaluate import OracleMismatchError, evaluate, infer_maps
 from .metrics import MetricError
 from .model import Model, ParameterMismatchError
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
-
-GRADCHECK_TOLERANCE = 1e-4
 
 
 class ValidationError(ValueError):
@@ -109,6 +107,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_fpr_limits(args.limit or [])  # before any file is read
     model, cfg = _load_model_from_checkpoint(args.checkpoint)
     test_samples = DatasetFolderProvider(args.data).load_split("test")
     _check_fits(cfg, test_samples, "test")
@@ -141,12 +140,12 @@ def cmd_infer(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config, args.seed)
-    report = run_gradcheck(tolerance=GRADCHECK_TOLERANCE, seed=cfg.seed)
+    report = run_gradcheck(seed=cfg.seed)
     for name in sorted(report.per_parameter_errors):
         print(f"{name}: {report.per_parameter_errors[name]:.3e}")
     print(f"max relative error {report.max_relative_error:.3e} "
           f"(worst: {report.worst_parameter})")
-    if not report.passed(GRADCHECK_TOLERANCE):
+    if not report.passed():
         raise ValidationError(
             f"gradient check exceeded tolerance {GRADCHECK_TOLERANCE}")
     return EXIT_OK

@@ -46,6 +46,13 @@ def _default_config() -> dict:
 
 DEFAULT_CONFIG: dict = _default_config()
 
+
+def check_fpr_limits(limits: list[float]) -> None:
+    """Every AUPRO FPR limit must lie in (0, 1]; `ConfigError` otherwise."""
+    for lim in limits:
+        if not 0.0 < lim <= 1.0:
+            raise ConfigError(f"fpr limit {lim} out of (0, 1]")
+
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
                list: "an array", dict: "an object"}
 
@@ -123,11 +130,11 @@ def build_run_config(resolved: dict) -> RunConfig:
                     fpr_limits=raw["metrics"]["fpr_limits"],
                     catalog=PromptCatalog(**raw["prompts"]))
     try:
+        if cfg.seed < 0:  # numpy's seed sequences take non-negative integers
+            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
         for section in (cfg.data, cfg.dims, cfg.train, cfg.fusion, cfg.catalog):
             section.validate()
-        for lim in cfg.fpr_limits:
-            if not 0.0 < lim <= 1.0:
-                raise ValueError(f"fpr limit {lim} out of (0, 1]")
+        check_fpr_limits(cfg.fpr_limits)
         if mapper not in (MAPPER_GACM, MAPPER_MLP):
             raise ValueError(f"model.mapper must be {MAPPER_GACM!r} or "
                              f"{MAPPER_MLP!r}, got {mapper!r}")

@@ -21,6 +21,12 @@ from .scoring import (
 from .synthdata import LabeledSample
 
 
+# Largest differences allowed between a metric and its brute-force oracle:
+# the oracles sum in another order than the metrics' ranks and cumulative sums.
+_P_AUROC_ORACLE_TOL = 1e-9
+_AUPRO_ORACLE_TOL = 1e-6
+
+
 class OracleMismatchError(AssertionError):
     pass
 
@@ -37,18 +43,14 @@ def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
         raise ShapeMismatchError(
             f"feature grids {sample.f_rgb.shape[:-1]} and {sample.f_3d.shape[:-1]} "
             f"do not match the mask grid {grid}")
-    h, w = grid
     with no_grad(), np.errstate(all="ignore"):
-        feats = model.forward_sample(sample.f_rgb, sample.f_3d)
+        rows = model.forward_sample(sample.f_rgb, sample.f_3d)
         if anchor is None:
             anchor = model.text_anchor(sample.class_name, mode="eval").data
-        grids = {k: feats[k].data.reshape(h, w, -1)
-                 for k in ("f_rgb", "f_3d", "f_rgb_to_3d", "f_3d_to_rgb",
-                           "f_rgb_to_text", "f_3d_to_text")}
-        m_rgb = psi_rgb(grids["f_rgb"], grids["f_3d_to_rgb"])
-        m_3d = psi_3d(grids["f_3d"], grids["f_rgb_to_3d"])
-        m_text = psi_text(anchor, grids["f_rgb_to_text"], grids["f_3d_to_text"])
-        final = zero_invalid(fuse(m_rgb, m_3d, m_text, fusion), sample.mask)
+        m_rgb = psi_rgb(rows["f_rgb"].data, rows["f_3d_to_rgb"].data)
+        m_3d = psi_3d(rows["f_3d"].data, rows["f_rgb_to_3d"].data)
+        m_text = psi_text(anchor, rows["f_rgb_to_text"].data, rows["f_3d_to_text"].data)
+        final = zero_invalid(fuse(m_rgb, m_3d, m_text, fusion).reshape(grid), sample.mask)
     if not np.isfinite(final).all():
         raise NonFiniteError(f"non-finite anomaly map for a {sample.class_name!r} "
                              f"sample: a feature value is too large for the head")
@@ -57,8 +59,7 @@ def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
 
 def evaluate(model: Model, test_samples: list[LabeledSample],
              fusion: FusionWeights, fpr_limits: list[float],
-             oracle_check: bool = False,
-             oracle_tolerance: float = 1e-6) -> dict:
+             oracle_check: bool = False) -> dict:
     """Per-class and averaged I-AUROC, P-AUROC, and AUPRO at each limit."""
     if not test_samples:
         raise MetricError("no test samples to evaluate")
@@ -87,16 +88,14 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
         for lim in fpr_limits:
             entry[f"aupro@{lim:g}"] = aupro(maps, gts, valids, lim, curve)
         if oracle_check:
-            _assert_oracles(entry, maps, gts, valids, scores, labels,
-                            fpr_limits, oracle_tolerance)
+            _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits)
         per_class[cname] = entry
     average = {k: float(np.mean([per_class[c][k] for c in classes]))
                for k in next(iter(per_class.values()))}
     return {"classes": per_class, "average": average, "sample_counts": counts}
 
 
-def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits,
-                    tol) -> None:
+def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits) -> None:
     ref_i = auroc_pair_counting(scores, labels)
     if entry["i_auroc"] != ref_i:
         raise OracleMismatchError(
@@ -104,7 +103,7 @@ def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits,
     px_scores = np.concatenate([m[v] for m, v in zip(maps, valids)])
     px_labels = np.concatenate([g[v] for g, v in zip(gts, valids)])
     ref_p = auroc_pair_counting(px_scores, px_labels)
-    if abs(entry["p_auroc"] - ref_p) > 1e-9:
+    if abs(entry["p_auroc"] - ref_p) > _P_AUROC_ORACLE_TOL:
         raise OracleMismatchError(
             f"p_auroc {entry['p_auroc']} != pair-counting oracle {ref_p}")
     # one sweep per class, up to the largest limit, serves every limit
@@ -112,6 +111,6 @@ def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits,
               if fpr_limits else [])
     for lim in fpr_limits:
         ref = aupro_exhaustive(maps, gts, valids, lim, points)
-        if abs(entry[f"aupro@{lim:g}"] - ref) > tol:
+        if abs(entry[f"aupro@{lim:g}"] - ref) > _AUPRO_ORACLE_TOL:
             raise OracleMismatchError(
                 f"aupro@{lim:g} {entry[f'aupro@{lim:g}']} != oracle {ref}")

@@ -62,7 +62,8 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     """8-connectivity components of a boolean mask.
 
     Returns one (k, 2) array of (row, col) coordinates per component, ordered
-    by each component's topmost-leftmost pixel.
+    by each component's topmost-leftmost pixel: `ndimage.label` numbers the
+    components in the raster order of their first pixels.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
@@ -72,7 +73,6 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     for i in range(1, n + 1):
         rows, cols = np.nonzero(labeled == i)
         comps.append(np.stack([rows, cols], axis=1))
-    comps.sort(key=lambda c: (int(c[:, 0].min()), int(c[c[:, 0] == c[:, 0].min(), 1].min())))
     return comps
 
 

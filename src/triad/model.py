@@ -20,6 +20,7 @@ from .octa import (
     MoeParams,
     PromptCatalog,
     PrototypeParams,
+    build_prompts,
     octa_forward,
 )
 from .projectors import MlpParams, project
@@ -109,11 +110,17 @@ class Model:
 
     def text_anchors(self, class_names: list[str], mode: str = "eval",
                      dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """(C, D_text) class-conditioned anchors, one row per class, from one pass."""
-        return octa_forward(class_names, self.catalog, self.embedder,
-                            self.moe, self.proto, mode=mode,
-                            dropout_rng=dropout_rng,
-                            embedding_cache=self._prompt_embeddings)
+        """(C, D_text) class-conditioned anchors, one row per class, from one pass.
+
+        Each class's prompts are built from the catalog and embedded by the
+        frozen embedder on first use; the adaptor runs on their stack.
+        """
+        cache = self._prompt_embeddings
+        for name in class_names:
+            if name not in cache:
+                cache[name] = self.embedder.embed(build_prompts(name, self.catalog))
+        return octa_forward(np.concatenate([cache[n] for n in class_names]),
+                            len(class_names), self.moe, self.proto, mode, dropout_rng)
 
     def text_anchor(self, class_name: str, mode: str = "eval",
                     dropout_rng: np.random.Generator | None = None) -> Tensor:

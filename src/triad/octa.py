@@ -1,16 +1,17 @@
 """Object-conditioned textual feature adaptor.
 
-Builds the normal-state prompt ensemble for a class, embeds it, enhances the
-embeddings with a sparse top-k mixture of experts, distills them into one
-anchor vector via prototype cross-attention, and refines that anchor with an
-MLP + FFN block.  The same anchor serves the RGB-side and 3D-side alignment.
-Several classes go through one pass together, one anchor row per class.
+The frozen text side is the normal-state prompt ensemble of a class
+(`build_prompts`) and its embedding (`HashingEmbedder`); `Model` builds and
+embeds the prompts.  The trainable adaptor enhances the embeddings with a
+sparse top-k mixture of experts, distills them into one anchor vector via
+prototype cross-attention, and refines that anchor with an MLP + FFN block.
+The same anchor serves the RGB-side and 3D-side alignment.  Several classes
+go through one pass together, one anchor row per class.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,14 +119,13 @@ class MoeParams:
         self.gate = _init_linear(store, "moe.gate", d_text, len(self.experts), rng)
 
 
-def moe_forward(t_embed, p: MoeParams) -> Tensor:
+def moe_forward(t: Tensor, p: MoeParams) -> Tensor:
     """Sparse mixture: per row, softmax over the k largest gate logits.
 
     Unselected experts receive an exactly-zero weight, so their parameters get
     no gradient and perturbing them cannot change the output.  Ties are broken
     toward the lower expert index.
     """
-    t = t_embed if isinstance(t_embed, Tensor) else Tensor(t_embed)
     logits = linear_forward(t, p.gate)
     n, n_experts = logits.data.shape
     # stable argsort descending; ties resolve to the lower index
@@ -149,7 +149,7 @@ class PrototypeParams:
     """Learnable prototype query plus the attention/refinement weights."""
 
     def __init__(self, store: ParameterStore, d_text: int, rng: np.random.Generator,
-                 dropout_rate: float = 0.1):
+                 dropout_rate: float):
         bound = 1.0 / np.sqrt(d_text)
         self.d_text = d_text
         self.scale = float(np.sqrt(d_text))
@@ -169,14 +169,13 @@ class PrototypeParams:
         self.final_ln_shift = store.register("proto.final_ln_shift", np.zeros(d_text))
 
 
-def prototype_attention(t_hat, p: PrototypeParams, n_classes: int = 1) -> Tensor:
+def prototype_attention(t: Tensor, p: PrototypeParams, n_classes: int = 1) -> Tensor:
     """Prototype cross-attention over enhanced text rows, one output row per class.
 
-    The rows of `t_hat` are `n_classes` equal blocks, one per class.  A block
+    The rows of `t` are `n_classes` equal blocks, one per class.  A block
     mask lets each class's copy of the prototype query attend only over its
     own block: masked scores get an exactly-zero weight.
     """
-    t = t_hat if isinstance(t_hat, Tensor) else Tensor(t_hat)
     n = t.data.shape[0]
     if n_classes < 1 or n % n_classes:
         raise ValueError(f"{n} text rows do not split into {n_classes} equal blocks")
@@ -208,23 +207,16 @@ def octa_refine(f_p, p: PrototypeParams, mode: str = "eval",
     return layer_norm(add(f_hat, ffn_out), p.final_ln_gain, p.final_ln_shift)
 
 
-def octa_forward(class_names: str | Sequence[str], catalog: PromptCatalog | None,
-                 embedder, moe: MoeParams, proto: PrototypeParams, mode: str = "eval",
-                 dropout_rng: np.random.Generator | None = None,
-                 embedding_cache: dict[str, np.ndarray] | None = None) -> Tensor:
-    """Full adaptor: prompts -> embeddings -> MoE -> attention -> refinement.
+def octa_forward(t_embed: np.ndarray, n_classes: int, moe: MoeParams,
+                 proto: PrototypeParams, mode: str,
+                 dropout_rng: np.random.Generator | None) -> Tensor:
+    """Trainable adaptor on frozen prompt embeddings: MoE -> attention -> refinement.
 
-    Returns one D_text anchor row per class, in the order given (a single
-    class name gives a 1 x D_text anchor).  The anchor is shared by the
-    RGB-side and 3D-side terms.  The prompts of every class go through the
-    MoE together.  `embedding_cache`, when given, maps each class name to its
-    frozen prompt embeddings and is filled on first use.
+    `t_embed` stacks `n_classes` equal blocks of prompt embeddings, one block
+    per class, and goes through the MoE as one matrix.  Returns one D_text
+    anchor row per block, in block order; the anchor is shared by the
+    RGB-side and 3D-side terms.
     """
-    names = [class_names] if isinstance(class_names, str) else list(class_names)
-    cache = {} if embedding_cache is None else embedding_cache
-    for name in names:
-        if name not in cache:
-            cache[name] = embedder.embed(build_prompts(name, catalog))
-    t_hat = moe_forward(Tensor(np.concatenate([cache[n] for n in names])), moe)
-    f_p = prototype_attention(t_hat, proto, n_classes=len(names))
+    t_hat = moe_forward(Tensor(t_embed), moe)
+    f_p = prototype_attention(t_hat, proto, n_classes=n_classes)
     return octa_refine(f_p, proto, mode=mode, dropout_rng=dropout_rng)

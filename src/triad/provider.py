@@ -121,25 +121,20 @@ class DatasetFolderProvider:
         except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, layout
             raise DatasetIOError(f"{manifest_path}: corrupt manifest: {exc}") from None
 
-    def refs(self, split: str | None = None) -> list[str]:
-        return [e["id"] for e in self.manifest["samples"]
-                if split is None or e["split"] == split]
-
-    def provide(self, ref: str):
+    def load_sample(self, ref: str) -> LabeledSample:
+        """The sample whose manifest id is `ref`; `DatasetIOError` if none is."""
         entry = self._by_id.get(ref)
         if entry is None:
             raise DatasetIOError(f"unknown sample reference {ref!r}")
-        return (*read_features(self.root / "samples" / ref), entry["class"])
-
-    def load_sample(self, ref: str) -> LabeledSample:
-        f_rgb, f_3d, mask, cname = self.provide(ref)
-        gt_path = self.root / "samples" / ref / "gt.tmf"
-        gt = _read_binary(gt_path)
+        sdir = self.root / "samples" / ref
+        f_rgb, f_3d, mask = read_features(sdir)
+        gt = _read_binary(sdir / "gt.tmf")
         if gt.shape != mask.shape:
-            raise ShapeMismatchError(
-                f"{gt_path}: ground-truth grid {gt.shape} != mask grid {mask.shape}")
-        return LabeledSample(cname, f_rgb, f_3d, mask, gt,
-                             self._by_id[ref]["is_anomalous"])
+            raise ShapeMismatchError(f"{sdir / 'gt.tmf'}: ground-truth grid "
+                                     f"{gt.shape} != mask grid {mask.shape}")
+        return LabeledSample(entry["class"], f_rgb, f_3d, mask, gt, entry["is_anomalous"])
 
     def load_split(self, split: str) -> list[LabeledSample]:
-        return [self.load_sample(r) for r in self.refs(split)]
+        """Every sample of `split`, in manifest order."""
+        return [self.load_sample(e["id"]) for e in self.manifest["samples"]
+                if e["split"] == split]

@@ -1,7 +1,8 @@
 """Inference-time anomaly map construction and fusion.
 
-All inputs here are plain numpy arrays: feature grids are (H, W, D) or
-flattened (H*W, D), maps are (H, W).  No gradients are needed at inference.
+All inputs here are plain numpy arrays.  The per-modality maps are computed
+on (N, D) patch rows and are (N,) vectors; the caller reshapes the fused map
+to its (H, W) grid.  No gradients are needed at inference.
 """
 
 from __future__ import annotations
@@ -29,18 +30,16 @@ class FusionWeights:
                 raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
-def _as_grid(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        raise ShapeMismatchError(f"expected an (H, W, D) grid, got shape {a.shape}")
-    return a
-
-
 def distance_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-patch Euclidean distance between two equally shaped grids."""
-    a, b = _as_grid(a), _as_grid(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"grid shapes differ: {a.shape} vs {b.shape}")
+    """Per-row Euclidean distance between (N, D) patch rows.
+
+    `a` is either (N, D), row against row, or one (1, D) row compared with
+    every row of `b`.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 2 or a.shape not in (b.shape, (1,) + b.shape[1:]):
+        raise ShapeMismatchError(f"row shapes differ: {a.shape} vs {b.shape}")
     return np.sqrt(((a - b) ** 2).sum(axis=-1))
 
 
@@ -56,12 +55,9 @@ def psi_3d(f_3d: np.ndarray, f_rgb_to_3d: np.ndarray) -> np.ndarray:
 
 def psi_text(text_anchor: np.ndarray, f_rgb_to_text: np.ndarray,
              f_3d_to_text: np.ndarray) -> np.ndarray:
-    """Product of the two per-patch distances to the broadcast text anchor."""
-    f_rgb_to_text = _as_grid(f_rgb_to_text)
-    h, w, d = f_rgb_to_text.shape
-    anchor = np.asarray(text_anchor, dtype=np.float64).reshape(1, 1, d)
-    anchor_grid = np.broadcast_to(anchor, (h, w, d))
-    return distance_map(anchor_grid, f_rgb_to_text) * distance_map(anchor_grid, f_3d_to_text)
+    """Product of the two per-patch distances to the (1, D) text anchor."""
+    return (distance_map(text_anchor, f_rgb_to_text)
+            * distance_map(text_anchor, f_3d_to_text))
 
 
 def fuse(psi_rgb_map: np.ndarray, psi_3d_map: np.ndarray, psi_text_map: np.ndarray,

@@ -69,11 +69,7 @@ class ClassGenerator:
     class_name: str
     a_rgb: np.ndarray  # (d_rgb, d_latent)
     a_3d: np.ndarray   # (d_3d, d_latent)
-    smoothness: int
-    noise_sigma: float
-    border: int
-    area_frac_range: tuple[float, float]
-    corrupt_modality: str
+    cfg: SynthConfig
 
 
 @dataclass
@@ -109,11 +105,7 @@ def make_class_generator(class_name: str, cfg: SynthConfig,
         class_name=class_name,
         a_rgb=_full_column_rank_matrix(rng, cfg.d_rgb, cfg.d_latent),
         a_3d=_full_column_rank_matrix(rng, cfg.d_3d, cfg.d_latent),
-        smoothness=cfg.smoothness,
-        noise_sigma=cfg.noise_sigma,
-        border=cfg.border,
-        area_frac_range=(cfg.area_frac_min, cfg.area_frac_max),
-        corrupt_modality=cfg.corrupt_modality,
+        cfg=cfg,
     )
 
 
@@ -125,16 +117,17 @@ def _smooth_latent(rng: np.random.Generator, h: int, w: int, d: int,
     return z
 
 
-def gen_nominal(cg: ClassGenerator, seed, h: int, w: int) -> LabeledSample:
-    """One nominal sample: both modalities are linear images of one latent field."""
-    if h < 4 or w < 4:
-        raise ValueError("grid extents must be >= 4")
+def gen_nominal(cg: ClassGenerator, seed) -> LabeledSample:
+    """One nominal sample on the configured grid: both modalities are linear
+    images of one latent field."""
+    cfg = cg.cfg
+    h, w = cfg.height, cfg.width
     rng = _rng_from(seed)
-    z = _smooth_latent(rng, h, w, cg.a_rgb.shape[1], cg.smoothness)
-    f_rgb = z @ cg.a_rgb.T + cg.noise_sigma * rng.standard_normal((h, w, cg.a_rgb.shape[0]))
-    f_3d = z @ cg.a_3d.T + cg.noise_sigma * rng.standard_normal((h, w, cg.a_3d.shape[0]))
+    z = _smooth_latent(rng, h, w, cg.a_rgb.shape[1], cfg.smoothness)
+    f_rgb = z @ cg.a_rgb.T + cfg.noise_sigma * rng.standard_normal((h, w, cg.a_rgb.shape[0]))
+    f_3d = z @ cg.a_3d.T + cfg.noise_sigma * rng.standard_normal((h, w, cg.a_3d.shape[0]))
     mask = np.zeros((h, w), dtype=bool)
-    b = cg.border
+    b = cfg.border
     mask[b:h - b, b:w - b] = True
     return LabeledSample(cg.class_name, f_rgb, f_3d, mask,
                          np.zeros((h, w), dtype=bool), False)
@@ -165,9 +158,10 @@ def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed) -> LabeledSample:
     """Corrupt `cg`'s modality inside a seeded elliptical blob of the valid area."""
     if s.is_anomalous:
         raise ValueError("inject_anomaly expects a nominal input sample")
+    cfg = cg.cfg
     rng = _rng_from(seed)
     n_valid = int(s.mask.sum())
-    frac = rng.uniform(*cg.area_frac_range)
+    frac = rng.uniform(cfg.area_frac_min, cfg.area_frac_max)
     target_count = max(1, round(frac * n_valid))
     if target_count > n_valid:
         raise AnomalyPlacementError(
@@ -177,14 +171,14 @@ def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed) -> LabeledSample:
     z_alt = rng.standard_normal((n_blob, cg.a_rgb.shape[1]))
     # match the variance of the blurred nominal latent so magnitude alone
     # cannot reveal the blob to an untrained model
-    z_alt *= (3.0 ** -cg.smoothness)
+    z_alt *= (3.0 ** -cfg.smoothness)
     f_rgb = s.f_rgb.copy()
     f_3d = s.f_3d.copy()
-    if cg.corrupt_modality == "3d":
-        f_3d[blob] = z_alt @ cg.a_3d.T + cg.noise_sigma * rng.standard_normal(
+    if cfg.corrupt_modality == "3d":
+        f_3d[blob] = z_alt @ cg.a_3d.T + cfg.noise_sigma * rng.standard_normal(
             (n_blob, cg.a_3d.shape[0]))
     else:
-        f_rgb[blob] = z_alt @ cg.a_rgb.T + cg.noise_sigma * rng.standard_normal(
+        f_rgb[blob] = z_alt @ cg.a_rgb.T + cfg.noise_sigma * rng.standard_normal(
             (n_blob, cg.a_rgb.shape[0]))
     return LabeledSample(s.class_name, f_rgb, f_3d, s.mask.copy(), blob, True)
 
@@ -202,12 +196,10 @@ def gen_dataset(cfg: SynthConfig, seed: int) -> tuple[list[LabeledSample],
         n_test_nominal = cfg.n_test - n_anom
         children = class_seq.spawn(cfg.n_train + cfg.n_test + n_anom)
         for i in range(cfg.n_train):
-            train.append(gen_nominal(cg, children[i], cfg.height, cfg.width))
+            train.append(gen_nominal(cg, children[i]))
         for i in range(n_test_nominal):
-            test.append(gen_nominal(cg, children[cfg.n_train + i],
-                                    cfg.height, cfg.width))
+            test.append(gen_nominal(cg, children[cfg.n_train + i]))
         for i in range(n_anom):
-            base = gen_nominal(cg, children[cfg.n_train + n_test_nominal + i],
-                               cfg.height, cfg.width)
+            base = gen_nominal(cg, children[cfg.n_train + n_test_nominal + i])
             test.append(inject_anomaly(base, cg, children[cfg.n_train + cfg.n_test + i]))
     return train, test

@@ -165,10 +165,10 @@ def test_criterion_1_gradient_fidelity(capsys):
         proto = PrototypeParams(store, 8, rng, dropout_rate=0.0)
         for t in (proto.prototype, proto.wq, proto.wk, proto.wv):
             t.data = t.data * 2.0
-        emb = HashingEmbedder(8, seed=seed)
+        t_embed = HashingEmbedder(8, seed=seed).embed(build_prompts("bagel", _CATALOG))
 
         def octa():
-            return octa_forward("bagel", _CATALOG, emb, moe, proto, mode="eval")
+            return octa_forward(t_embed, 1, moe, proto, "eval", None)
 
         probe = rng.standard_normal((1, 8))
         rep = finite_diff_gradient_check(
@@ -176,7 +176,7 @@ def test_criterion_1_gradient_fidelity(capsys):
             store)
         worst = max(worst, rep.max_relative_error)
 
-        rep = run_gradcheck(tolerance=1e-4, epsilon=1e-5, seed=seed)
+        rep = run_gradcheck(seed=seed)
         worst = max(worst, rep.max_relative_error)
     elapsed = time.time() - t0
     ok = worst <= 1e-4 and elapsed < 60.0
@@ -206,9 +206,9 @@ def test_criterion_2_formula_exactness(capsys):
                           <= 1e-12)
 
     # Euclidean distance on a 3-4-5 right triangle is exact
-    a = np.zeros((1, 1, 2))
-    b = np.array([[[3.0, 4.0]]])
-    pythag_ok = distance_map(a, b)[0, 0] == 5.0
+    a = np.zeros((1, 2))
+    b = np.array([[3.0, 4.0]])
+    pythag_ok = distance_map(a, b)[0] == 5.0
 
     # square pass-through mapper is an exact identity
     store = ParameterStore()

@@ -152,6 +152,16 @@ def test_linear_forward_dimension_mismatch():
         linear_forward(Tensor(np.zeros((4, 5))), p)
 
 
+@pytest.mark.parametrize("shape", [(2, 5, 3), (3,)], ids=["linear-3d", "linear-1d"])
+def test_linear_forward_rejects_other_ranks(shape):
+    # callers flatten grids to (N, D) rows, as matmul requires
+    store = ParameterStore()
+    p = LinearParams(store.register("w", np.zeros((3, 2))),
+                     store.register("b", np.zeros(2)))
+    with pytest.raises(DimensionMismatchError, match="2-D"):
+        linear_forward(Tensor(np.zeros(shape)), p)
+
+
 def test_matmul_shape_errors():
     with pytest.raises(DimensionMismatchError):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
@@ -350,17 +360,6 @@ def _ref_sqrt(a):
     return _make(data, (a,), bw)
 
 
-def _ref_reshape(a, shape):
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
-
-    return _make(data, (a,), bw)
-
-
 def _ref_layer_norm(x, gain, shift):
     x = as_tensor(x)
     mu = _ref_mean(x, axis=-1, keepdims=True)
@@ -379,13 +378,7 @@ def _ref_cosine_rows(a, b, eps=1e-8):
 
 
 def _ref_linear_forward(x, p):
-    x = as_tensor(x)
-    orig = x.data.shape
-    flat = _ref_reshape(x, (-1, p.d_in)) if x.data.ndim != 2 else x
-    out = add(matmul(flat, p.weight), p.bias)
-    if x.data.ndim != 2:
-        out = _ref_reshape(out, orig[:-1] + (p.d_out,))
-    return out
+    return add(matmul(x, p.weight), p.bias)
 
 
 def _linear_args(x, w, b):
@@ -401,11 +394,6 @@ def _fused_cases(rng):
         ("linear-2d", linear_forward, _ref_linear_forward, _linear_args,
          [rng.standard_normal((7, 4)), rng.standard_normal((4, 3)),
           rng.standard_normal(3)]),
-        ("linear-3d", linear_forward, _ref_linear_forward, _linear_args,
-         [rng.standard_normal((2, 5, 4)), rng.standard_normal((4, 3)),
-          rng.standard_normal(3)]),
-        ("linear-1d", linear_forward, _ref_linear_forward, _linear_args,
-         [rng.standard_normal(4), rng.standard_normal((4, 3)), rng.standard_normal(3)]),
         ("layer-norm-2d", layer_norm, _ref_layer_norm, None,
          [rng.standard_normal((6, 5)) * 3.0 + 1.0, 1.0 + 0.2 * rng.standard_normal(5),
           0.1 * rng.standard_normal(5)]),
@@ -461,8 +449,8 @@ def test_fused_layers_build_one_node():
         assert out._parents == tuple(leaves), name
 
 
-@pytest.mark.parametrize("name", ["linear-2d", "linear-3d", "layer-norm-2d",
-                                  "layer-norm-3d", "cosine", "cosine-zero-row"])
+@pytest.mark.parametrize("name", ["linear-2d", "layer-norm-2d", "layer-norm-3d",
+                                  "cosine", "cosine-zero-row"])
 def test_fused_layer_central_difference(name):
     rng = np.random.default_rng(7)
     case = {c[0]: c for c in _fused_cases(rng)}[name]

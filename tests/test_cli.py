@@ -527,6 +527,22 @@ def _infer_overflowing_extents(ctx):
     return _infer_argv(ctx, sdir)
 
 
+def _eval_header_negative_seed(ctx):
+    ck = load_checkpoint(ctx.ckpt)
+    ck["config"]["seed"] = -1
+    ctx.ckpt = str(ctx.tmp / "bad.ckpt")
+    save_checkpoint(ctx.ckpt, ck["arrays"], ck["step"], ck["seed"],
+                    ck["config_hash"], ck["config"])
+    return _eval_argv(ctx)
+
+
+def _eval_bad_limit_before_any_read(ctx):
+    # neither the checkpoint nor the dataset exists: the limit is checked first
+    return ["eval", "--checkpoint", str(ctx.tmp / "none.ckpt"),
+            "--data", str(ctx.tmp / "none"), "--out", str(ctx.tmp / "r.json"),
+            "--limit", "0.3", "--limit", "nan"]
+
+
 def _gradcheck_exceeds_tolerance(ctx):
     import triad.cli as cli
     from triad.autograd import GradCheckReport
@@ -564,6 +580,12 @@ EXIT_CODE_TABLE = [
      _bad_config("train", {"data": {"d_3d": 1}}), EXIT_CONFIG),
     ("train-adam-eps-zero",
      _bad_config("train", {"train": {"adam_eps": 0.0}}), EXIT_CONFIG),
+    ("gen-data-negative-seed",
+     lambda ctx: ["gen-data", "--config", ctx.cfg, "--out", str(ctx.tmp / "d"),
+                  "--seed", "-1"], EXIT_CONFIG),
+    ("train-negative-seed", lambda ctx: [*_train_argv(ctx), "--seed", "-3"],
+     EXIT_CONFIG),
+    ("gradcheck-negative-seed", lambda ctx: ["gradcheck", "--seed", "-2"], EXIT_CONFIG),
     ("gen-data-unwritable-out", _gen_data_unwritable, EXIT_IO),
     ("train-missing-dataset",
      lambda ctx: ["train", "--config", ctx.cfg, "--data", str(ctx.tmp / "none"),
@@ -574,13 +596,15 @@ EXIT_CODE_TABLE = [
     ("train-anomalous-train-sample", _train_anomalous_sample, EXIT_VALIDATION),
     ("train-feature-width-mismatch", _train_width_mismatch, EXIT_VALIDATION),
     ("eval-header-classes-not-a-list", _eval_header_classes_not_a_list, EXIT_CONFIG),
+    ("eval-header-negative-seed", _eval_header_negative_seed, EXIT_CONFIG),
     ("eval-nan-at-valid-pixel", _eval_nan_at_valid_pixel, EXIT_VALIDATION),
     ("eval-gt-grid-mismatch", _eval_gt_grid_mismatch, EXIT_VALIDATION),
     ("eval-feature-width-mismatch", _eval_width_mismatch, EXIT_VALIDATION),
     ("eval-limit-not-a-number", lambda ctx: _eval_argv(ctx, "--limit", "abc"),
      EXIT_CONFIG),
     ("eval-limit-out-of-range", lambda ctx: _eval_argv(ctx, "--limit", "2"),
-     EXIT_VALIDATION),
+     EXIT_CONFIG),
+    ("eval-limit-nan-before-any-read", _eval_bad_limit_before_any_read, EXIT_CONFIG),
     ("eval-nan-in-checkpoint-array", _eval_nan_in_checkpoint, EXIT_IO),
     ("eval-manifest-id-not-a-string", _edit_manifest(_set_test_field("id", 5)), EXIT_IO),
     ("eval-manifest-class-not-a-string",

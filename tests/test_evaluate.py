@@ -1,16 +1,20 @@
 """Tests for test-set inference and the per-class metrics report."""
 
 import contextlib
+import hashlib
 
 import numpy as np
 import pytest
 
 import triad.evaluate as ev
+from triad.config import build_run_config, resolve_config
 from triad.evaluate import OracleMismatchError, evaluate, infer_maps
 from triad.metrics import MetricError
 from triad.model import Model, ModelDims
 from triad.scoring import FusionWeights
 from triad.synthdata import SynthConfig, gen_dataset
+from triad.tmf import canonical_json
+from triad.trainer import train
 
 DIMS = ModelDims(d_rgb=5, d_3d=7, d_text=8, n_experts=3, top_k=2,
                  dropout_rate=0.0)
@@ -118,3 +122,28 @@ def test_oracle_check_sweeps_once_per_class_and_integrates_per_limit(monkeypatch
         (5, {}, 0.3), (5, {}, 0.05)] * 2
     for c, (_, _, points) in enumerate(sweeps):  # each class's limits share its sweep
         assert integrations[2 * c][0][4] is integrations[2 * c + 1][0][4] is points
+
+
+# SHA-256 of the canonical-JSON report of an oracle-checked evaluation, and of
+# the anomaly map of the last (anomalous) test sample, for a 2-class 8x8 head
+# trained 20 steps at the default settings; any change to the bytes of
+# training, scoring or the metrics shows here
+PINNED_REPORT_SHA256 = "0bf77ecb107ca54cd3ae1473049e87d5d0f1ad784bc0b829b5bb028ea978f067"
+PINNED_MAP_SHA256 = "f7608d0ce83774196da75c99e88b6591468e52cabf1d628107bb629f91153bf8"
+
+
+def test_report_and_map_bytes_are_pinned():
+    cfg = build_run_config(resolve_config({
+        "data": {"classes": ["bagel", "dowel"], "n_train": 16, "n_test": 8,
+                 "height": 8, "width": 8},
+        "train": {"steps": 20}}))
+    train_samples, test_samples = gen_dataset(cfg.data, cfg.seed)
+    model = Model(cfg.dims, seed=cfg.seed, catalog=cfg.catalog,
+                  mapper_kind=cfg.mapper_kind)
+    train(cfg.train, model, train_samples)
+    report = evaluate(model, test_samples, cfg.fusion, cfg.fpr_limits,
+                      oracle_check=True)
+    final, _ = infer_maps(model, test_samples[-1], cfg.fusion)
+    assert test_samples[-1].is_anomalous
+    assert hashlib.sha256(canonical_json(report)).hexdigest() == PINNED_REPORT_SHA256
+    assert hashlib.sha256(final.tobytes()).hexdigest() == PINNED_MAP_SHA256

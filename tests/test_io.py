@@ -188,8 +188,8 @@ def test_dataset_folder_roundtrip(tmp_path):
     save_dataset(tmp_path, train, test, config_hash="h", seed=0)
     prov = DatasetFolderProvider(tmp_path)
     assert prov.manifest["config_hash"] == "h"
-    assert len(prov.refs("train")) == 2 and len(prov.refs("test")) == 2
     loaded = prov.load_split("train") + prov.load_split("test")
+    assert len(loaded) == 4
     for orig, got in zip(train + test, loaded):
         assert got.class_name == orig.class_name
         assert got.is_anomalous == orig.is_anomalous
@@ -208,7 +208,7 @@ def test_provider_unknown_ref(tmp_path):
     train, test = _tiny_dataset()
     save_dataset(tmp_path, train, test, config_hash="h", seed=0)
     with pytest.raises(DatasetIOError):
-        DatasetFolderProvider(tmp_path).provide("train-99999")
+        DatasetFolderProvider(tmp_path).load_sample("train-99999")
 
 
 def _with_nan(a, index):

@@ -143,6 +143,20 @@ def test_components_separate_regions_ordered():
     assert comps[1][:, 0].min() == 4
 
 
+def test_components_come_topmost_leftmost_first_on_random_masks():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 13, size=2))
+        m = rng.random(shape) < rng.uniform(0.1, 0.7)
+        comps = connected_components(m)
+        firsts = [min(map(tuple, c.tolist())) for c in comps]
+        assert firsts == sorted(firsts)
+        covered = np.zeros(shape, dtype=int)
+        for c in comps:
+            covered[c[:, 0], c[:, 1]] += 1
+        assert (covered == m).all()  # every mask pixel in exactly one component
+
+
 def test_components_checkerboard_is_one_region():
     m = np.indices((3, 3)).sum(axis=0) % 2 == 0
     assert len(connected_components(m)) == 1

@@ -249,11 +249,15 @@ def test_octa_forward_anchor_shape_and_determinism():
     rng = np.random.default_rng(8)
     moe = MoeParams(store, 8, 3, 2, rng)
     proto = PrototypeParams(store, 8, rng, dropout_rate=0.0)
-    emb = HashingEmbedder(8, seed=0)
-    a = octa_forward("bagel", None, emb, moe, proto)
-    b = octa_forward("bagel", None, emb, moe, proto)
+    t_embed = HashingEmbedder(8, seed=0).embed(build_prompts("bagel"))
+    a = octa_forward(t_embed, 1, moe, proto, "eval", None)
+    b = octa_forward(t_embed, 1, moe, proto, "eval", None)
     assert a.shape == (1, 8)
     np.testing.assert_array_equal(a.data, b.data)
+    two = octa_forward(np.concatenate([t_embed, t_embed]), 2, moe, proto, "eval", None)
+    assert two.shape == (2, 8)
+    with pytest.raises(ValueError, match="equal blocks"):
+        octa_forward(t_embed, 3, moe, proto, "eval", None)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -267,11 +271,11 @@ def test_full_octa_gradcheck(seed):
     # finite-difference noise floor (see run_gradcheck)
     for t in (proto.prototype, proto.wq, proto.wk, proto.wv):
         t.data = t.data * 2.0
-    emb = HashingEmbedder(8, seed=seed)
+    t_embed = HashingEmbedder(8, seed=seed).embed(build_prompts("bagel", DIVERSE_CATALOG))
     probe = np.random.default_rng(seed + 40).standard_normal((1, 8))
 
     def objective():
-        anchor = octa_forward("bagel", DIVERSE_CATALOG, emb, moe, proto)
+        anchor = octa_forward(t_embed, 1, moe, proto, "eval", None)
         return mul(tensor_sum(mul(anchor, Tensor(probe))), 2.0 ** -6)
 
     report = finite_diff_gradient_check(objective, store)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triad.autograd import (
+    DimensionMismatchError,
     ParameterStore,
     Tensor,
     finite_diff_gradient_check,
@@ -50,10 +51,11 @@ def test_matches_composed_linear_gelu_oracle():
     np.testing.assert_allclose(got, manual, atol=1e-15)
 
 
-def test_grid_shaped_input_preserves_leading_axes():
+def test_grid_shaped_input_rejected():
+    # the model flattens (H, W, D) grids to (H*W, D) patch rows first
     store, p = _mlp(3, 5, seed=3)
-    out = project(Tensor(np.zeros((2, 2, 3))), p)
-    assert out.shape == (2, 2, 5)
+    with pytest.raises(DimensionMismatchError):
+        project(Tensor(np.zeros((2, 2, 3))), p)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -16,8 +16,8 @@ from triad.scoring import (
 )
 
 
-def _grid(rng, h=3, w=4, d=5):
-    return rng.standard_normal((h, w, d))
+def _rows(rng, n=12, d=5):
+    return rng.standard_normal((n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -25,53 +25,53 @@ def _grid(rng, h=3, w=4, d=5):
 
 
 def test_distance_map_identical_grids_zero():
-    g = np.random.default_rng(0).standard_normal((4, 4, 3))
-    np.testing.assert_array_equal(distance_map(g, g), np.zeros((4, 4)))
+    g = np.random.default_rng(0).standard_normal((16, 3))
+    np.testing.assert_array_equal(distance_map(g, g), np.zeros(16))
 
 
 def test_distance_map_pythagorean_exact():
-    a = np.zeros((1, 1, 2))
-    b = np.array([[[3.0, 4.0]]])
-    assert distance_map(a, b)[0, 0] == 5.0  # exact in floating point
+    a = np.zeros((1, 2))
+    b = np.array([[3.0, 4.0]])
+    assert distance_map(a, b)[0] == 5.0  # exact in floating point
 
 
 def test_distance_map_shape_checks():
     with pytest.raises(ShapeMismatchError):
-        distance_map(np.zeros((2, 2, 3)), np.zeros((2, 2, 4)))
+        distance_map(np.zeros((4, 3)), np.zeros((4, 4)))
     with pytest.raises(ShapeMismatchError):
-        distance_map(np.zeros((4, 3)), np.zeros((4, 3)))
+        distance_map(np.zeros((2, 3)), np.zeros((4, 3)))
+    with pytest.raises(ShapeMismatchError):  # grids are flattened by the caller
+        distance_map(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
 
 
 def test_psi_rgb_and_psi_3d_are_distance_maps():
     rng = np.random.default_rng(1)
-    a, b = _grid(rng), _grid(rng)
+    a, b = _rows(rng), _rows(rng)
     np.testing.assert_array_equal(psi_rgb(a, b), distance_map(a, b))
     np.testing.assert_array_equal(psi_3d(a, b), distance_map(a, b))
 
 
 def test_psi_text_annihilated_by_one_perfect_side():
     rng = np.random.default_rng(2)
-    anchor = rng.standard_normal(5)
-    perfect = np.broadcast_to(anchor, (3, 4, 5)).copy()
-    other = _grid(rng)
-    np.testing.assert_array_equal(psi_text(anchor, perfect, other),
-                                  np.zeros((3, 4)))
-    np.testing.assert_array_equal(psi_text(anchor, other, perfect),
-                                  np.zeros((3, 4)))
+    anchor = rng.standard_normal((1, 5))
+    perfect = np.repeat(anchor, 12, axis=0)
+    other = _rows(rng)
+    np.testing.assert_array_equal(psi_text(anchor, perfect, other), np.zeros(12))
+    np.testing.assert_array_equal(psi_text(anchor, other, perfect), np.zeros(12))
 
 
 def test_psi_text_constant_offsets_product():
     # rgb side at distance 2 and 3d side at distance 2 from the anchor
-    anchor = np.zeros(4)
-    side = np.zeros((2, 2, 4))
-    side[..., 0] = 2.0
-    np.testing.assert_allclose(psi_text(anchor, side, side),
-                               np.full((2, 2), 4.0), atol=1e-12)
+    anchor = np.zeros((1, 4))
+    side = np.zeros((4, 4))
+    side[:, 0] = 2.0
+    np.testing.assert_allclose(psi_text(anchor, side, side), np.full(4, 4.0),
+                               atol=1e-12)
 
 
 def test_psi_text_nonnegative():
     rng = np.random.default_rng(3)
-    m = psi_text(rng.standard_normal(5), _grid(rng), _grid(rng))
+    m = psi_text(rng.standard_normal((1, 5)), _rows(rng), _rows(rng))
     assert (m >= 0.0).all()
 
 

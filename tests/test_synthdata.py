@@ -64,7 +64,7 @@ def test_default_classes_are_known_object_names():
 
 def test_nominal_shapes_and_labels():
     cfg, cg = _one_generator()
-    s = gen_nominal(cg, 5, cfg.height, cfg.width)
+    s = gen_nominal(cg, 5)
     assert s.f_rgb.shape == (10, 10, cfg.d_rgb)
     assert s.f_3d.shape == (10, 10, cfg.d_3d)
     assert s.mask.shape == s.gt_pixels.shape == (10, 10)
@@ -74,7 +74,7 @@ def test_nominal_shapes_and_labels():
 
 def test_nominal_border_invalid():
     cfg, cg = _one_generator()
-    s = gen_nominal(cg, 5, cfg.height, cfg.width)
+    s = gen_nominal(cg, 5)
     assert not s.mask[0, :].any() and not s.mask[-1, :].any()
     assert not s.mask[:, 0].any() and not s.mask[:, -1].any()
     assert s.mask[1:-1, 1:-1].all()
@@ -82,25 +82,25 @@ def test_nominal_border_invalid():
 
 def test_nominal_deterministic_per_seed():
     cfg, cg = _one_generator()
-    a = gen_nominal(cg, 11, 10, 10)
-    b = gen_nominal(cg, 11, 10, 10)
-    c = gen_nominal(cg, 12, 10, 10)
+    a = gen_nominal(cg, 11)
+    b = gen_nominal(cg, 11)
+    c = gen_nominal(cg, 12)
     np.testing.assert_array_equal(a.f_rgb, b.f_rgb)
     np.testing.assert_array_equal(a.f_3d, b.f_3d)
     assert np.abs(a.f_rgb - c.f_rgb).max() > 0.0
 
 
 def test_nominal_small_grid_rejected():
-    cfg, cg = _one_generator()
-    with pytest.raises(ValueError):
-        gen_nominal(cg, 0, 3, 10)
+    # the grid comes from the configuration, which is checked before any draw
+    with pytest.raises(ValueError, match="grid extents"):
+        gen_dataset(_small_cfg(height=3), seed=0)
 
 
 def test_nominal_modalities_share_latent():
     # with zero observation noise the 3D grid is an exact linear image of the
     # latent recovered from the RGB grid via the pseudoinverse
     cfg, cg = _one_generator(_small_cfg(noise_sigma=0.0))
-    s = gen_nominal(cg, 3, 10, 10)
+    s = gen_nominal(cg, 3)
     z_hat = s.f_rgb @ np.linalg.pinv(cg.a_rgb).T
     np.testing.assert_allclose(z_hat @ cg.a_3d.T, s.f_3d, atol=1e-9)
 
@@ -111,7 +111,7 @@ def test_nominal_modalities_share_latent():
 
 def test_anomaly_blob_properties():
     cfg, cg = _one_generator()
-    base = gen_nominal(cg, 7, 10, 10)
+    base = gen_nominal(cg, 7)
     a = inject_anomaly(base, cg, 8)
     assert a.is_anomalous
     assert a.gt_pixels.any()
@@ -124,7 +124,7 @@ def test_anomaly_blob_properties():
 
 def test_anomaly_locality_outside_blob_bit_identical():
     cfg, cg = _one_generator()
-    base = gen_nominal(cg, 9, 10, 10)
+    base = gen_nominal(cg, 9)
     a = inject_anomaly(base, cg, 10)
     outside = ~a.gt_pixels
     np.testing.assert_array_equal(a.f_rgb, base.f_rgb)  # rgb untouched ("3d" mode)
@@ -134,7 +134,7 @@ def test_anomaly_locality_outside_blob_bit_identical():
 
 def test_anomaly_breaks_cross_modal_relation_only_inside():
     cfg, cg = _one_generator(_small_cfg(noise_sigma=0.0))
-    base = gen_nominal(cg, 13, 10, 10)
+    base = gen_nominal(cg, 13)
     a = inject_anomaly(base, cg, 14)
     z_hat = a.f_rgb @ np.linalg.pinv(cg.a_rgb).T
     residual = np.linalg.norm(z_hat @ cg.a_3d.T - a.f_3d, axis=-1)
@@ -144,7 +144,7 @@ def test_anomaly_breaks_cross_modal_relation_only_inside():
 
 def test_anomaly_can_corrupt_rgb_instead():
     cfg, cg = _one_generator(_small_cfg(corrupt_modality="rgb"))
-    base = gen_nominal(cg, 15, 10, 10)
+    base = gen_nominal(cg, 15)
     a = inject_anomaly(base, cg, 16)
     np.testing.assert_array_equal(a.f_3d, base.f_3d)
     assert np.abs(a.f_rgb[a.gt_pixels] - base.f_rgb[a.gt_pixels]).max() > 0.0
@@ -152,7 +152,7 @@ def test_anomaly_can_corrupt_rgb_instead():
 
 def test_anomaly_rejects_already_anomalous():
     cfg, cg = _one_generator()
-    base = gen_nominal(cg, 17, 10, 10)
+    base = gen_nominal(cg, 17)
     a = inject_anomaly(base, cg, 18)
     with pytest.raises(ValueError):
         inject_anomaly(a, cg, 19)
@@ -162,7 +162,7 @@ def test_anomaly_magnitude_comparable_to_nominal():
     # the replacement latent is variance-matched: inside-blob magnitudes stay
     # within the same order as nominal ones (no giveaway spike)
     cfg, cg = _one_generator()
-    base = gen_nominal(cg, 21, 10, 10)
+    base = gen_nominal(cg, 21)
     a = inject_anomaly(base, cg, 22)
     inside = np.linalg.norm(a.f_3d[a.gt_pixels], axis=-1).mean()
     outside = np.linalg.norm(a.f_3d[a.mask & ~a.gt_pixels], axis=-1).mean()

@@ -224,7 +224,7 @@ def test_train_step_uses_seeded_dropout():
 
 def test_run_gradcheck_passes_default_tolerance():
     report = run_gradcheck(seed=0)
-    assert report.passed(1e-4), report
+    assert report.passed(), report
 
 
 def test_run_gradcheck_covers_every_parameter_once():
@@ -414,7 +414,7 @@ def test_gradcheck_objective_builds_at_most_88_nodes(monkeypatch):
         built.append(args)
         return make(*args)
 
-    def one_objective(objective, params, epsilon):
+    def one_objective(objective, params):
         monkeypatch.setattr(ag, "_make", counting_make)
         objective()
         monkeypatch.setattr(ag, "_make", make)
