@@ -472,10 +472,6 @@ class LinearParams:
     def d_in(self) -> int:
         return self.weight.data.shape[0]
 
-    @property
-    def d_out(self) -> int:
-        return self.weight.data.shape[1]
-
 
 def linear_forward(x, p: LinearParams) -> Tensor:
     """y = x @ W + b for (N, D_in) rows x, as one graph node."""

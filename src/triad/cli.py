@@ -124,8 +124,12 @@ def cmd_eval(args) -> int:
 
 def cmd_infer(args) -> int:
     model, cfg = _load_model_from_checkpoint(args.checkpoint)
+    classes = cfg.data.classes
+    if not args.class_name and len(classes) > 1:
+        raise ConfigError(f"--class-name is required: the checkpoint has "
+                          f"{len(classes)} classes ({', '.join(map(repr, classes))})")
     f_rgb, f_3d, mask = read_features(args.sample)
-    class_name = args.class_name or cfg.data.classes[0]
+    class_name = args.class_name or classes[0]
     sample = LabeledSample(class_name, f_rgb, f_3d, mask, np.zeros_like(mask), False)
     _check_fits(cfg, [sample], "input")
     final, score = infer_maps(model, sample, cfg.fusion)

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .losses import LossWeights
+from .metrics import aupro_key
 from .model import MAPPER_GACM, MAPPER_MLP, ModelDims
 from .octa import PromptCatalog
 from .scoring import FusionWeights
@@ -48,10 +49,17 @@ DEFAULT_CONFIG: dict = _default_config()
 
 
 def check_fpr_limits(limits: list[float]) -> None:
-    """Every AUPRO FPR limit must lie in (0, 1]; `ConfigError` otherwise."""
+    """Every AUPRO FPR limit must lie in (0, 1] and have a report key of its
+    own; `ConfigError` otherwise."""
+    seen: dict[str, float] = {}
     for lim in limits:
         if not 0.0 < lim <= 1.0:
             raise ConfigError(f"fpr limit {lim} out of (0, 1]")
+        key = aupro_key(lim)
+        if key in seen:
+            raise ConfigError(f"fpr limits {seen[key]} and {lim} share the "
+                              f"report key {key}")
+        seen[key] = lim
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
                list: "an array", dict: "an object"}

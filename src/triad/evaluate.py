@@ -5,18 +5,24 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import NonFiniteError, no_grad
-from .metrics import BinaryLabeledScores, MetricError, auroc, aupro, pixel_auroc, pro_curve
+from .metrics import (
+    BinaryLabeledScores,
+    MetricError,
+    aupro,
+    aupro_key,
+    auroc,
+    pixel_auroc,
+    pro_curve,
+)
 from .model import Model
 from .oracles import auroc_pair_counting, aupro_exhaustive, pro_points_exhaustive
 from .scoring import (
     FusionWeights,
     ShapeMismatchError,
     fuse,
-    image_score,
     psi_3d,
     psi_rgb,
     psi_text,
-    zero_invalid,
 )
 from .synthdata import LabeledSample
 
@@ -33,10 +39,12 @@ class OracleMismatchError(AssertionError):
 
 def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
                anchor: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Final anomaly map (invalid pixels zeroed) and image score for one sample.
+    """Final anomaly map and image score for one sample.
 
-    Numpy's floating-point warnings are off, as a huge value at an invalid
-    pixel may overflow there; `NonFiniteError` if the zeroed map is not finite.
+    Only the valid pixels' rows are scored; the map is 0 at invalid pixels,
+    and the image score is the largest valid value, 0 when none is valid.
+    `NonFiniteError`, with numpy's floating-point warnings off, if a feature
+    value is too large for the head.
     """
     grid = sample.mask.shape
     if len(grid) != 2 or sample.f_rgb.shape[:-1] != grid or sample.f_3d.shape[:-1] != grid:
@@ -44,17 +52,19 @@ def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
             f"feature grids {sample.f_rgb.shape[:-1]} and {sample.f_3d.shape[:-1]} "
             f"do not match the mask grid {grid}")
     with no_grad(), np.errstate(all="ignore"):
-        rows = model.forward_sample(sample.f_rgb, sample.f_3d)
+        rows = model.forward_sample(sample.f_rgb[sample.mask], sample.f_3d[sample.mask])
         if anchor is None:
             anchor = model.text_anchor(sample.class_name, mode="eval").data
         m_rgb = psi_rgb(rows["f_rgb"].data, rows["f_3d_to_rgb"].data)
         m_3d = psi_3d(rows["f_3d"].data, rows["f_rgb_to_3d"].data)
         m_text = psi_text(anchor, rows["f_rgb_to_text"].data, rows["f_3d_to_text"].data)
-        final = zero_invalid(fuse(m_rgb, m_3d, m_text, fusion).reshape(grid), sample.mask)
-    if not np.isfinite(final).all():
+        fused = fuse(m_rgb, m_3d, m_text, fusion)
+    if not np.isfinite(fused).all():
         raise NonFiniteError(f"non-finite anomaly map for a {sample.class_name!r} "
                              f"sample: a feature value is too large for the head")
-    return final, image_score(final, sample.mask)
+    final = np.zeros(grid)
+    final[sample.mask] = fused
+    return final, float(fused.max()) if fused.size else 0.0
 
 
 def evaluate(model: Model, test_samples: list[LabeledSample],
@@ -86,7 +96,7 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
         # one curve per class serves every limit
         curve = pro_curve(maps, gts, valids) if fpr_limits else None
         for lim in fpr_limits:
-            entry[f"aupro@{lim:g}"] = aupro(maps, gts, valids, lim, curve)
+            entry[aupro_key(lim)] = aupro(maps, gts, valids, lim, curve)
         if oracle_check:
             _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits)
         per_class[cname] = entry
@@ -111,6 +121,6 @@ def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits) -> Non
               if fpr_limits else [])
     for lim in fpr_limits:
         ref = aupro_exhaustive(maps, gts, valids, lim, points)
-        if abs(entry[f"aupro@{lim:g}"] - ref) > _AUPRO_ORACLE_TOL:
-            raise OracleMismatchError(
-                f"aupro@{lim:g} {entry[f'aupro@{lim:g}']} != oracle {ref}")
+        key = aupro_key(lim)
+        if abs(entry[key] - ref) > _AUPRO_ORACLE_TOL:
+            raise OracleMismatchError(f"{key} {entry[key]} != oracle {ref}")

@@ -47,8 +47,6 @@ class GacmParams:
 
     def __init__(self, store: ParameterStore, d_rgb: int, d_3d: int,
                  rng: np.random.Generator, zero_branches: bool = False):
-        self.d_rgb = d_rgb
-        self.d_3d = d_3d
         self.phi_s = _init_linear(store, "gacm.phi_s", d_rgb, d_3d, rng)
         self.phi_g = _init_linear(store, "gacm.phi_g", d_rgb, d_3d, rng)
         self.w_gate = _init_linear(store, "gacm.w_gate", d_3d, d_3d, rng)

@@ -132,6 +132,11 @@ def pro_curve(maps, gt_masks, valid) -> tuple[np.ndarray, np.ndarray]:
     return fprs, pros
 
 
+def aupro_key(fpr_limit: float) -> str:
+    """The report key of the AUPRO at `fpr_limit`."""
+    return f"aupro@{fpr_limit:g}"
+
+
 def aupro(maps, gt_masks, valid, fpr_limit: float,
           curve: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Normalized area under the per-region-overlap curve up to `fpr_limit`.

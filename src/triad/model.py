@@ -2,9 +2,9 @@
 
 The head owns a single ParameterStore, packed into one float64 buffer once
 every module has registered, so that checkpointing, optimization, and
-gradient checking can treat every trainable tensor uniformly.  Feature
-grids enter as (H, W, D) numpy arrays and are flattened to (H*W, D) patch
-matrices internally; training passes a whole batch's stacked patch rows.
+gradient checking can treat every trainable tensor uniformly.  Features
+enter as (N, D) patch rows: one sample's valid rows when scoring, a whole
+batch's stacked valid rows when training.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ class Model:
                  mapper_kind: str = MAPPER_GACM):
         if mapper_kind not in (MAPPER_GACM, MAPPER_MLP):
             raise ValueError(f"unknown mapper kind {mapper_kind!r}")
-        self.dims = dims
-        self.seed = seed
         self.mapper_kind = mapper_kind
         self.catalog = catalog if catalog is not None else PromptCatalog()
         self.embedder = HashingEmbedder(dims.d_text)
@@ -91,11 +89,11 @@ class Model:
 
     def forward_sample(self, f_rgb_grid: np.ndarray,
                        f_3d_grid: np.ndarray) -> dict[str, Tensor]:
-        """Map one sample's grids into every target modality.
+        """Map patch rows into every target modality.
 
-        The inputs are (H, W, D) grids, or any arrays whose last axis is the
-        feature width, such as the (N, D) stacked patch rows of a batch.
-        Returns flattened (H*W, D) tensors keyed by mapping name.
+        The inputs are (N, D) patch rows, or any arrays whose last axis is
+        the feature width, such as (H, W, D) grids, which are flattened.
+        Returns (N, D) tensors keyed by mapping name.
         """
         f_rgb = Tensor(f_rgb_grid.reshape(-1, f_rgb_grid.shape[-1]))
         f_3d = Tensor(f_3d_grid.reshape(-1, f_3d_grid.shape[-1]))

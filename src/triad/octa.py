@@ -112,7 +112,6 @@ class MoeParams:
                  rng: np.random.Generator):
         if not 1 <= k <= n_experts:
             raise ValueError(f"top-k count {k} out of range [1, {n_experts}]")
-        self.d_text = d_text
         self.k = k
         self.experts = [MlpParams(store, d_text, d_text, rng, f"moe.expert{i}")
                         for i in range(n_experts)]
@@ -151,7 +150,6 @@ class PrototypeParams:
     def __init__(self, store: ParameterStore, d_text: int, rng: np.random.Generator,
                  dropout_rate: float):
         bound = 1.0 / np.sqrt(d_text)
-        self.d_text = d_text
         self.scale = float(np.sqrt(d_text))
         self.dropout_rate = dropout_rate
         self.prototype = store.register(

@@ -13,9 +13,7 @@ class MlpParams:
 
     def __init__(self, store: ParameterStore, d_in: int, d_out: int,
                  rng: np.random.Generator, prefix: str):
-        self.d_in = d_in
         self.d_hidden = d_hidden = max(d_in, d_out)
-        self.d_out = d_out
         self.layer1 = _init_linear(store, f"{prefix}.layer1", d_in, d_hidden, rng)
         self.layer2 = _init_linear(store, f"{prefix}.layer2", d_hidden, d_out, rng)
 

@@ -8,9 +8,8 @@ manifest, or a sample id that is not a plain folder name, raises
 `DatasetIOError`, mismatched ranks or grids raise `ShapeMismatchError`,
 a non-finite feature at a valid pixel raises `NonFiniteError`, and a mask or
 ground-truth value other than 0 or 1 raises `BinaryValueError`.  Features at
-invalid pixels are not checked: nothing reads them (training stacks the
-valid rows only, and scoring zeroes the invalid pixels), so missing depth
-may be stored there as NaN.
+invalid pixels are not checked: training and scoring read the valid rows
+only, so missing depth may be stored there as NaN.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Inference-time anomaly map construction and fusion.
 
 All inputs here are plain numpy arrays.  The per-modality maps are computed
-on (N, D) patch rows and are (N,) vectors; the caller reshapes the fused map
-to its (H, W) grid.  No gradients are needed at inference.
+on (N, D) patch rows and are (N,) vectors; the caller places the fused map
+on its (H, W) grid.  No gradients are needed at inference.
 """
 
 from __future__ import annotations
@@ -73,21 +73,3 @@ def fuse(psi_rgb_map: np.ndarray, psi_3d_map: np.ndarray, psi_text_map: np.ndarr
             f"map shapes differ: {r.shape}, {g.shape}, {t.shape}")
     return w.alpha * (r * g) + w.beta * t
 
-
-def image_score(psi_final: np.ndarray, mask: np.ndarray) -> float:
-    """Maximum anomaly value over valid pixels; 0 when no pixel is valid."""
-    psi_final = np.asarray(psi_final, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if psi_final.shape != mask.shape:
-        raise ShapeMismatchError(
-            f"map shape {psi_final.shape} != mask shape {mask.shape}")
-    if not mask.any():
-        return 0.0
-    return float(psi_final[mask].max())
-
-
-def zero_invalid(psi_final: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Clear invalid pixels so they never outrank defects in pixel metrics."""
-    out = np.asarray(psi_final, dtype=np.float64).copy()
-    out[~np.asarray(mask, dtype=bool)] = 0.0
-    return out

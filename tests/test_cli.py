@@ -543,6 +543,19 @@ def _eval_bad_limit_before_any_read(ctx):
             "--limit", "0.3", "--limit", "nan"]
 
 
+def _infer_two_classes_without_class_name(ctx):
+    # the sample folder does not exist: the class is settled before any read
+    cfg = {section: dict(values) for section, values in SMALL_OVERRIDES.items()}
+    cfg["data"]["classes"] = ["bagel", "dowel"]
+    path, data = ctx.tmp / "two.json", str(ctx.tmp / "two-data")
+    path.write_text(json.dumps(cfg))
+    ctx.ckpt = str(ctx.tmp / "two.ckpt")
+    assert main(["gen-data", "--config", str(path), "--out", data]) == EXIT_OK
+    assert main(["train", "--config", str(path), "--data", data,
+                 "--out", ctx.ckpt]) == EXIT_OK
+    return _infer_argv(ctx, ctx.tmp / "none")
+
+
 def _gradcheck_exceeds_tolerance(ctx):
     import triad.cli as cli
     from triad.autograd import GradCheckReport
@@ -605,6 +618,11 @@ EXIT_CODE_TABLE = [
     ("eval-limit-out-of-range", lambda ctx: _eval_argv(ctx, "--limit", "2"),
      EXIT_CONFIG),
     ("eval-limit-nan-before-any-read", _eval_bad_limit_before_any_read, EXIT_CONFIG),
+    ("eval-limits-share-a-report-key",
+     lambda ctx: _eval_argv(ctx, "--limit", "0.1234567", "--limit", "0.1234568"),
+     EXIT_CONFIG),
+    ("train-repeated-fpr-limit",
+     _bad_config("train", {"metrics": {"fpr_limits": [0.3, 0.01, 0.3]}}), EXIT_CONFIG),
     ("eval-nan-in-checkpoint-array", _eval_nan_in_checkpoint, EXIT_IO),
     ("eval-manifest-id-not-a-string", _edit_manifest(_set_test_field("id", 5)), EXIT_IO),
     ("eval-manifest-class-not-a-string",
@@ -630,6 +648,8 @@ EXIT_CODE_TABLE = [
     ("infer-nan-at-invalid-pixels", _infer_nan_at_invalid_pixels, EXIT_OK),
     ("infer-nan-in-checkpoint-array", _infer_nan_in_checkpoint, EXIT_IO),
     ("infer-overflowing-tmf-extents", _infer_overflowing_extents, EXIT_IO),
+    ("infer-two-classes-without-class-name", _infer_two_classes_without_class_name,
+     EXIT_CONFIG),
     ("infer-missing-sample",
      lambda ctx: _infer_argv(ctx, ctx.tmp / "none"), EXIT_IO),
     ("gradcheck-unknown-config-key",

@@ -11,8 +11,9 @@ from triad.config import build_run_config, resolve_config
 from triad.evaluate import OracleMismatchError, evaluate, infer_maps
 from triad.metrics import MetricError
 from triad.model import Model, ModelDims
-from triad.scoring import FusionWeights
-from triad.synthdata import SynthConfig, gen_dataset
+from triad.autograd import no_grad
+from triad.scoring import FusionWeights, fuse, psi_3d, psi_rgb, psi_text
+from triad.synthdata import LabeledSample, SynthConfig, gen_dataset
 from triad.tmf import canonical_json
 from triad.trainer import train
 
@@ -35,6 +36,52 @@ def test_infer_maps_shape_and_invalid_zeroing():
     assert (final[~s.mask] == 0.0).all()
     assert (final >= 0.0).all()
     assert score == final[s.mask].max()
+
+
+
+def _full_grid_maps(model, s, fusion):
+    """Scoring as it was before only the valid rows were forwarded: every
+    pixel's row, then the invalid pixels cleared."""
+    with no_grad():
+        rows = model.forward_sample(s.f_rgb, s.f_3d)
+        anchor = model.text_anchor(s.class_name, mode="eval").data
+        fused = fuse(psi_rgb(rows["f_rgb"].data, rows["f_3d_to_rgb"].data),
+                     psi_3d(rows["f_3d"].data, rows["f_rgb_to_3d"].data),
+                     psi_text(anchor, rows["f_rgb_to_text"].data,
+                              rows["f_3d_to_text"].data), fusion).reshape(s.mask.shape)
+    final = fused.copy()
+    final[~s.mask] = 0.0
+    return final, float(fused[s.mask].max())
+
+
+def test_infer_maps_matches_the_full_grid_on_a_sparse_mask():
+    # a quarter of the pixels valid; NaN at every invalid pixel must not reach the map
+    cfg = SynthConfig(classes=["bagel"], n_train=1, n_test=4, height=32, width=32,
+                      border=8, d_latent=3, d_rgb=DIMS.d_rgb, d_3d=DIMS.d_3d)
+    _, test = gen_dataset(cfg, seed=6)
+    model = Model(DIMS, seed=6)
+    for s in test:
+        want, want_score = _full_grid_maps(model, s, FusionWeights())
+        holed = LabeledSample(s.class_name, s.f_rgb.copy(), s.f_3d.copy(), s.mask,
+                              s.gt_pixels, s.is_anomalous)
+        holed.f_rgb[~s.mask] = np.nan
+        holed.f_3d[~s.mask] = np.nan
+        got, score = infer_maps(model, holed, FusionWeights())
+        np.testing.assert_allclose(got[s.mask], want[s.mask], rtol=1e-13, atol=0)
+        assert (got[~s.mask] == 0.0).all()
+        assert score == pytest.approx(want_score, rel=1e-13, abs=0)
+
+
+def test_infer_maps_all_invalid_mask_gives_zero_map_and_score():
+    _, test = _data(classes=("bagel",))
+    s = test[0]
+    mask = np.zeros_like(s.mask)
+    empty = LabeledSample(s.class_name, np.full_like(s.f_rgb, np.nan),
+                          np.full_like(s.f_3d, np.nan), mask, s.gt_pixels, False)
+    final, score = infer_maps(Model(DIMS, seed=0), empty, FusionWeights())
+    assert final.shape == mask.shape
+    assert (final == 0.0).all()
+    assert score == 0.0 and type(score) is float
 
 
 def test_infer_maps_deterministic():

@@ -1,4 +1,4 @@
-"""Tests for anomaly-map construction, fusion, and image-level scoring."""
+"""Tests for per-patch anomaly maps and their fusion."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from triad.scoring import (
     ShapeMismatchError,
     distance_map,
     fuse,
-    image_score,
     psi_3d,
     psi_rgb,
     psi_text,
-    zero_invalid,
 )
 
 
@@ -128,42 +126,3 @@ def test_fusion_weights_validation():
     with pytest.raises(ValueError):
         FusionWeights(beta=float("inf")).validate()
 
-
-# ---------------------------------------------------------------------------
-# image score and masking
-
-
-def test_image_score_is_max_over_valid():
-    m = np.array([[1.0, 9.0], [3.0, 2.0]])
-    mask = np.array([[True, False], [True, True]])
-    # the hottest pixel is invalid and must be ignored
-    assert image_score(m, mask) == 3.0
-
-
-def test_image_score_empty_mask_zero():
-    assert image_score(np.full((2, 2), 7.0), np.zeros((2, 2), dtype=bool)) == 0.0
-
-
-def test_image_score_shape_check():
-    with pytest.raises(ShapeMismatchError):
-        image_score(np.zeros((2, 2)), np.zeros((2, 3), dtype=bool))
-
-
-def test_invalid_pixel_values_cannot_change_score():
-    rng = np.random.default_rng(7)
-    m = np.abs(rng.standard_normal((4, 4)))
-    mask = rng.random((4, 4)) > 0.4
-    mask[0, 0] = True  # keep at least one valid pixel
-    base = image_score(m, mask)
-    m2 = m.copy()
-    m2[~mask] = 1e12
-    assert image_score(m2, mask) == base
-
-
-def test_zero_invalid_clears_only_invalid():
-    m = np.full((2, 2), 5.0)
-    mask = np.array([[True, False], [False, True]])
-    out = zero_invalid(m, mask)
-    np.testing.assert_array_equal(out, np.array([[5.0, 0.0], [0.0, 5.0]]))
-    # input untouched
-    np.testing.assert_array_equal(m, np.full((2, 2), 5.0))
