@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import math
 import threading
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -64,17 +64,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def _accumulate(self, g: np.ndarray) -> None:
         # The first gradient is kept as is; later ones are added out of place,
@@ -456,21 +445,11 @@ class ParameterStore:
             t.grad = None
 
 
-class LinearParams:
+class LinearParams(NamedTuple):
     """Weight (D_in, D_out) and bias (D_out,) of one affine layer."""
 
-    def __init__(self, weight: Tensor, bias: Tensor):
-        if weight.data.ndim != 2 or bias.data.ndim != 1:
-            raise DimensionMismatchError("LinearParams expects 2-D weight and 1-D bias")
-        if weight.data.shape[1] != bias.data.shape[0]:
-            raise DimensionMismatchError(
-                f"weight out extent {weight.data.shape[1]} != bias extent {bias.data.shape[0]}")
-        self.weight = weight
-        self.bias = bias
-
-    @property
-    def d_in(self) -> int:
-        return self.weight.data.shape[0]
+    weight: Tensor
+    bias: Tensor
 
 
 def linear_forward(x, p: LinearParams) -> Tensor:
@@ -479,10 +458,10 @@ def linear_forward(x, p: LinearParams) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionMismatchError(
             f"linear_forward expects 2-D input, got {x.data.ndim}-D")
-    if x.data.shape[1] != p.d_in:
-        raise DimensionMismatchError(
-            f"linear_forward input extent {x.data.shape[1]} != weight extent {p.d_in}")
-    w, bias = p.weight, p.bias
+    w, bias = p
+    if x.data.shape[1] != w.data.shape[0]:
+        raise DimensionMismatchError(f"linear_forward input extent {x.data.shape[1]} "
+                                     f"!= weight extent {w.data.shape[0]}")
     data = x.data @ w.data
     data += bias.data
 

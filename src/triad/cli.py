@@ -95,13 +95,13 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     train_samples = DatasetFolderProvider(args.data).load_split("train")
     _check_fits(cfg, train_samples, "train")
-    ckpt, loss_log = train(cfg.train, _build_model(cfg), train_samples)
-    save_checkpoint(args.out, ckpt.arrays, ckpt.step, ckpt.seed, cfg.hash, cfg.raw)
+    arrays, loss_log = train(cfg.train, _build_model(cfg), train_samples)
+    save_checkpoint(args.out, arrays, cfg.train.steps, cfg.seed, cfg.hash, cfg.raw)
     with open(str(args.out) + ".log.jsonl", "w") as f:
         for rec in loss_log:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
     final = loss_log[-1]["l_total"] if loss_log else float("nan")
-    print(f"trained {ckpt.step} steps, final loss {final:.6f}, "
+    print(f"trained {cfg.train.steps} steps, final loss {final:.6f}, "
           f"checkpoint {args.out} (config {cfg.hash[:12]})")
     return EXIT_OK
 

@@ -6,7 +6,6 @@ import numpy as np
 
 from .autograd import NonFiniteError, no_grad
 from .metrics import (
-    BinaryLabeledScores,
     MetricError,
     aupro,
     aupro_key,
@@ -90,7 +89,7 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
         gts = [s.gt_pixels for s in samples]
         valids = [s.mask for s in samples]
         entry = {
-            "i_auroc": auroc(BinaryLabeledScores(scores, labels)),
+            "i_auroc": auroc(scores, labels),
             "p_auroc": pixel_auroc(maps, gts, valids),
         }
         # one curve per class serves every limit

@@ -8,8 +8,6 @@ false-positive rate, and trapezoid-integrates the curve up to the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 from scipy.stats import rankdata
@@ -19,28 +17,19 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass
-class BinaryLabeledScores:
-    scores: np.ndarray
-    labels: np.ndarray  # True = anomalous
-
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        self.labels = np.asarray(self.labels, dtype=bool).ravel()
-        if self.scores.shape != self.labels.shape:
-            raise MetricError("scores and labels must have equal length")
-
-
-def auroc(s: BinaryLabeledScores) -> float:
-    """Area under the ROC curve via the Mann-Whitney U statistic."""
-    pos = s.labels
+def auroc(scores, labels) -> float:
+    """Area under the ROC curve via the Mann-Whitney U statistic; True = anomalous."""
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    pos = np.asarray(labels, dtype=bool).ravel()
+    if scores.shape != pos.shape:
+        raise MetricError("scores and labels must have equal length")
     n_pos = int(pos.sum())
     n_neg = int((~pos).sum())
     if n_pos == 0:
         raise MetricError("auroc undefined: no anomalous (positive) sample")
     if n_neg == 0:
         raise MetricError("auroc undefined: no normal (negative) sample")
-    ranks = rankdata(s.scores, method="average")
+    ranks = rankdata(scores, method="average")
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -52,7 +41,7 @@ def pixel_auroc(maps, gt_masks, valid) -> float:
         v = np.asarray(v, dtype=bool)
         scores.append(np.asarray(m, dtype=np.float64)[v])
         labels.append(np.asarray(gt, dtype=bool)[v])
-    return auroc(BinaryLabeledScores(np.concatenate(scores), np.concatenate(labels)))
+    return auroc(np.concatenate(scores), np.concatenate(labels))
 
 
 _EIGHT_CONN = np.ones((3, 3), dtype=int)

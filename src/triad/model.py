@@ -82,11 +82,6 @@ class Model:
                                      dropout_rate=dims.dropout_rate)
         self.store.pack()
 
-    def map_rgb_to_3d(self, f_rgb: Tensor) -> Tensor:
-        if self.mapper_kind == MAPPER_GACM:
-            return gacm_forward(f_rgb, self.mapper)
-        return project(f_rgb, self.mapper)
-
     def forward_sample(self, f_rgb_grid: np.ndarray,
                        f_3d_grid: np.ndarray) -> dict[str, Tensor]:
         """Map patch rows into every target modality.
@@ -97,10 +92,11 @@ class Model:
         """
         f_rgb = Tensor(f_rgb_grid.reshape(-1, f_rgb_grid.shape[-1]))
         f_3d = Tensor(f_3d_grid.reshape(-1, f_3d_grid.shape[-1]))
+        rgb_to_3d = gacm_forward if self.mapper_kind == MAPPER_GACM else project
         return {
             "f_rgb": f_rgb,
             "f_3d": f_3d,
-            "f_rgb_to_3d": self.map_rgb_to_3d(f_rgb),
+            "f_rgb_to_3d": rgb_to_3d(f_rgb, self.mapper),
             "f_3d_to_rgb": project(f_3d, self.proj_3d_to_rgb),
             "f_rgb_to_text": project(f_rgb, self.proj_rgb_to_text),
             "f_3d_to_text": project(f_3d, self.proj_3d_to_text),

@@ -132,9 +132,7 @@ def moe_forward(t: Tensor, p: MoeParams) -> Tensor:
     selected = np.zeros((n, n_experts), dtype=bool)
     np.put_along_axis(selected, order[:, :p.k], True, axis=1)
     # softmax over selected logits only: push unselected logits far below the rest
-    masked = add(mul(logits, selected.astype(float)),
-                 Tensor(np.where(selected, 0.0, -1e30)))
-    weights = softmax_row(masked)
+    weights = softmax_row(add(logits, Tensor(np.where(selected, 0.0, -1e30))))
     out = None
     for i, expert in enumerate(p.experts):
         if not selected[:, i].any():

@@ -110,30 +110,27 @@ class DatasetFolderProvider:
             raise DatasetIOError(f"no manifest.json in {self.root}")
         try:
             self.manifest = json.loads(manifest_path.read_text())
-            entries = self.manifest["samples"]
-            self._by_id = {}
-            for e in entries:
+            ids = set()
+            for e in self.manifest["samples"]:
                 _check_entry(e)
-                if e["id"] in self._by_id:
+                if e["id"] in ids:
                     raise ValueError(f"repeated sample id {e['id']!r}")
-                self._by_id[e["id"]] = e
+                ids.add(e["id"])
         except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, layout
             raise DatasetIOError(f"{manifest_path}: corrupt manifest: {exc}") from None
 
-    def load_sample(self, ref: str) -> LabeledSample:
-        """The sample whose manifest id is `ref`; `DatasetIOError` if none is."""
-        entry = self._by_id.get(ref)
-        if entry is None:
-            raise DatasetIOError(f"unknown sample reference {ref!r}")
-        sdir = self.root / "samples" / ref
-        f_rgb, f_3d, mask = read_features(sdir)
-        gt = _read_binary(sdir / "gt.tmf")
-        if gt.shape != mask.shape:
-            raise ShapeMismatchError(f"{sdir / 'gt.tmf'}: ground-truth grid "
-                                     f"{gt.shape} != mask grid {mask.shape}")
-        return LabeledSample(entry["class"], f_rgb, f_3d, mask, gt, entry["is_anomalous"])
-
     def load_split(self, split: str) -> list[LabeledSample]:
         """Every sample of `split`, in manifest order."""
-        return [self.load_sample(e["id"]) for e in self.manifest["samples"]
-                if e["split"] == split]
+        samples = []
+        for e in self.manifest["samples"]:
+            if e["split"] != split:
+                continue
+            sdir = self.root / "samples" / e["id"]
+            f_rgb, f_3d, mask = read_features(sdir)
+            gt = _read_binary(sdir / "gt.tmf")
+            if gt.shape != mask.shape:
+                raise ShapeMismatchError(f"{sdir / 'gt.tmf'}: ground-truth grid "
+                                         f"{gt.shape} != mask grid {mask.shape}")
+            samples.append(LabeledSample(e["class"], f_rgb, f_3d, mask, gt,
+                                         e["is_anomalous"]))
+        return samples

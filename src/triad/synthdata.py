@@ -54,6 +54,14 @@ class SynthConfig:
             raise ValueError("invalid sample counts")
         if self.height < 4 or self.width < 4:
             raise ValueError("grid extents must be >= 4")
+        if min(self.d_rgb, self.d_3d, self.d_latent) < 1:
+            raise ValueError(f"d_rgb, d_3d and d_latent must be >= 1, got {self.d_rgb}, "
+                             f"{self.d_3d} and {self.d_latent}")
+        if self.smoothness < 0:
+            raise ValueError(f"smoothness must be >= 0, got {self.smoothness}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, "
+                             f"got {self.noise_sigma}")
         if not 0 <= 2 * self.border < min(self.height, self.width):
             raise ValueError(f"border {self.border} must be >= 0 and leave a valid "
                              f"pixel on the {self.height}x{self.width} grid")

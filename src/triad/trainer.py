@@ -60,13 +60,6 @@ class AdamState:
         self.v = np.zeros_like(model.store.flat)
 
 
-@dataclass
-class Checkpoint:
-    arrays: dict[str, np.ndarray]
-    step: int
-    seed: int
-
-
 def filter_nonfinite(grad: np.ndarray, slices: dict[str, slice]) -> None:
     """Zero out (and log) each tensor's slice of `grad` that holds NaN or Inf."""
     finite = np.isfinite(grad)
@@ -137,8 +130,8 @@ def _adam_update(params: np.ndarray, opt: AdamState, g: np.ndarray,
 
 
 def train(cfg: TrainConfig, model: Model, train_samples: list[LabeledSample]
-          ) -> tuple[Checkpoint, list[dict]]:
-    """Run the full loop; returns the final checkpoint and the loss log."""
+          ) -> tuple[dict[str, np.ndarray], list[dict]]:
+    """Run the full loop; returns the final parameter arrays and the loss log."""
     cfg.validate()
     if not train_samples:
         raise ValueError("empty training set")
@@ -156,8 +149,7 @@ def train(cfg: TrainConfig, model: Model, train_samples: list[LabeledSample]
         l_total, l_vis, l_text = train_step(batch, model, opt, cfg, step)
         loss_log.append({"step": step, "l_vis": l_vis, "l_text": l_text,
                          "l_total": l_total})
-    ckpt = Checkpoint(arrays=model.export_arrays(), step=cfg.steps, seed=cfg.seed)
-    return ckpt, loss_log
+    return model.export_arrays(), loss_log
 
 
 # Objective scale for the finite-difference check.  A power of two multiplies

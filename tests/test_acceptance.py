@@ -33,7 +33,7 @@ from triad.cli import main as cli_main
 from triad.config import build_run_config, resolve_config
 from triad.evaluate import evaluate
 from triad.gacm import GacmParams, gacm_forward, gacm_fuse
-from triad.metrics import BinaryLabeledScores, auroc, aupro
+from triad.metrics import auroc, aupro
 from triad.model import Model
 from triad.octa import (
     DEFAULT_STATES,
@@ -237,7 +237,7 @@ def test_criterion_3_metric_oracles(capsys):
         labels = rng.random(n) > 0.5
         if labels.all() or not labels.any():
             labels[0] = ~labels[0]
-        got = auroc(BinaryLabeledScores(scores, labels))
+        got = auroc(scores, labels)
         ref = auroc_pair_counting(scores, labels)
         auroc_max = max(auroc_max, abs(got - ref))
 

@@ -182,7 +182,7 @@ def test_oracle_check_negative_control(tmp_path, data_dir, checkpoint,
                                        monkeypatch):
     # a deliberately broken metric must trip the oracle cross-check (exit 4)
     import triad.evaluate as ev
-    monkeypatch.setattr(ev, "auroc", lambda s: 0.123)
+    monkeypatch.setattr(ev, "auroc", lambda scores, labels: 0.123)
     code = main(["eval", "--checkpoint", checkpoint, "--data", data_dir,
                  "--out", str(tmp_path / "r.json"), "--oracle-check"])
     assert code == EXIT_VALIDATION
@@ -591,6 +591,13 @@ EXIT_CODE_TABLE = [
      _bad_config("gen-data", {"data": {"border": 100}}), EXIT_CONFIG),
     ("train-gacm-3d-width-one",
      _bad_config("train", {"data": {"d_3d": 1}}), EXIT_CONFIG),
+    ("gen-data-negative-rgb-width",
+     _bad_config("gen-data", {"data": {"d_rgb": -1}}), EXIT_CONFIG),
+    ("train-mlp-3d-width-zero",
+     _bad_config("train", {"data": {"d_3d": 0}, "model": {"mapper": "mlp"}}),
+     EXIT_CONFIG),
+    ("gen-data-nan-noise-sigma",
+     _bad_config("gen-data", {"data": {"noise_sigma": float("nan")}}), EXIT_CONFIG),
     ("train-adam-eps-zero",
      _bad_config("train", {"train": {"adam_eps": 0.0}}), EXIT_CONFIG),
     ("gen-data-negative-seed",

@@ -139,7 +139,7 @@ def test_evaluate_oracle_check_catches_corruption(monkeypatch):
     model = Model(DIMS, seed=4)
     import triad.evaluate as ev
 
-    def wrong_auroc(s):
+    def wrong_auroc(scores, labels):
         return 0.123
 
     monkeypatch.setattr(ev, "auroc", wrong_auroc)

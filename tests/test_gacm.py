@@ -29,8 +29,8 @@ def _params(d_rgb=4, d_3d=6, seed=0, zero_branches=False):
 def test_bifurcate_shapes():
     store, p = _params()
     f_sem, f_geo = gacm_bifurcate(Tensor(np.ones((5, 4))), p)
-    assert f_sem.shape == (5, 6)
-    assert f_geo.shape == (5, 6)
+    assert f_sem.data.shape == (5, 6)
+    assert f_geo.data.shape == (5, 6)
 
 
 def test_gate_strictly_inside_unit_interval():

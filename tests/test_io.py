@@ -204,13 +204,6 @@ def test_provider_missing_manifest(tmp_path):
         DatasetFolderProvider(tmp_path / "nope")
 
 
-def test_provider_unknown_ref(tmp_path):
-    train, test = _tiny_dataset()
-    save_dataset(tmp_path, train, test, config_hash="h", seed=0)
-    with pytest.raises(DatasetIOError):
-        DatasetFolderProvider(tmp_path).load_sample("train-99999")
-
-
 def _with_nan(a, index):
     """A copy of `a` with NaN at `index`; (1, 1) is valid with a border of 1."""
     a = a.copy()
@@ -254,13 +247,13 @@ def test_read_features_ignores_values_at_invalid_pixels(tmp_path):
     assert np.isnan(f_rgb[invalid]).all() and np.isnan(f_3d[invalid]).all()
 
 
-def test_load_sample_checks_ground_truth_grid(tmp_path):
+def test_load_split_checks_ground_truth_grid(tmp_path):
     train, test = _tiny_dataset()
     save_dataset(tmp_path, train, test, config_hash="h", seed=0)
     write_tensor(tmp_path / "samples" / "test-00000" / "gt.tmf",
                  np.zeros((3, 3), dtype=np.float32))
     with pytest.raises(ShapeMismatchError, match="gt.tmf"):
-        DatasetFolderProvider(tmp_path).load_sample("test-00000")
+        DatasetFolderProvider(tmp_path).load_split("test")
 
 
 @pytest.mark.parametrize("text", ['{"samples": [', "[]", '{"seed": 0}',

@@ -26,25 +26,27 @@ def _mean_weights(n):
 
 def test_identical_features_zero_loss():
     x = np.random.default_rng(0).standard_normal((6, 4))
-    assert cosine_loss(x, x, _mean_weights(6)).item() == pytest.approx(0.0, abs=1e-12)
+    v = float(cosine_loss(x, x, _mean_weights(6)).data)
+    assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonal_features_unit_loss():
     pred = np.tile([1.0, 0.0], (5, 1))
     target = np.tile([0.0, 1.0], (5, 1))
-    assert cosine_loss(pred, target, _mean_weights(5)).item() == pytest.approx(1.0)
+    assert float(cosine_loss(pred, target, _mean_weights(5)).data) == pytest.approx(1.0)
 
 
 def test_hand_average_of_sims():
     # two valid patches with cosine similarities 1 and 0 -> loss 0.5
     pred = np.array([[1.0, 0.0], [1.0, 0.0]])
     target = np.array([[2.0, 0.0], [0.0, 3.0]])
-    assert cosine_loss(pred, target, _mean_weights(2)).item() == pytest.approx(0.5)
+    assert float(cosine_loss(pred, target, _mean_weights(2)).data) == pytest.approx(0.5)
 
 
 def test_antiparallel_maximum_loss():
     x = np.random.default_rng(1).standard_normal((4, 3))
-    assert cosine_loss(x, -x, _mean_weights(4)).item() == pytest.approx(2.0, abs=1e-12)
+    v = float(cosine_loss(x, -x, _mean_weights(4)).data)
+    assert v == pytest.approx(2.0, abs=1e-12)
 
 
 def test_loss_within_cosine_bounds():
@@ -52,7 +54,7 @@ def test_loss_within_cosine_bounds():
     for _ in range(20):
         pred = rng.standard_normal((8, 5))
         target = rng.standard_normal((8, 5))
-        v = cosine_loss(pred, target, _mean_weights(8)).item()
+        v = float(cosine_loss(pred, target, _mean_weights(8)).data)
         assert 0.0 <= v <= 2.0
 
 
@@ -64,13 +66,13 @@ def test_empty_mask_contributes_zero_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="triad.losses"):
         w = sample_row_weights([2, 0])
     np.testing.assert_array_equal(w, [0.25, 0.25])
-    assert cosine_loss(pred, target, w).item() == pytest.approx(0.25)
+    assert float(cosine_loss(pred, target, w).data) == pytest.approx(0.25)
     assert sum("no valid patch" in r.getMessage() for r in caplog.records) == 1
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="triad.losses"):
         w = sample_row_weights([0, 0, 0])
     assert w.shape == (0,)
-    assert cosine_loss(np.ones((0, 2)), np.ones((0, 2)), w).item() == 0.0
+    assert float(cosine_loss(np.ones((0, 2)), np.ones((0, 2)), w).data) == 0.0
     assert sum("no valid patch" in r.getMessage() for r in caplog.records) == 3
 
 
@@ -84,7 +86,7 @@ def test_shape_mismatch_rejected():
 def test_zero_row_hits_eps_guard_not_nan():
     pred = np.zeros((2, 3))
     target = np.ones((2, 3))
-    v = cosine_loss(pred, target, _mean_weights(2)).item()
+    v = float(cosine_loss(pred, target, _mean_weights(2)).data)
     assert np.isfinite(v)
     assert v == pytest.approx(1.0)  # clamped norm makes sim 0
 
@@ -103,8 +105,8 @@ def test_zero_row_gradient_is_finite_and_matches_finite_difference():
         up, down = pred.copy(), pred.copy()
         up[0, j] += h
         down[0, j] -= h
-        fd = (cosine_loss(up, target, _mean_weights(2)).item()
-              - cosine_loss(down, target, _mean_weights(2)).item()) / (2 * h)
+        fd = (float(cosine_loss(up, target, _mean_weights(2)).data)
+              - float(cosine_loss(down, target, _mean_weights(2)).data)) / (2 * h)
         assert fd == pytest.approx(p.grad[0, j], rel=1e-6, abs=1e-3)
 
 
@@ -118,8 +120,8 @@ def test_visual_loss_weighted_sum():
     f_3d = rng.standard_normal((5, 4))
     rows = _mean_weights(5)
     w = LossWeights(lambda_v2g=2.0, lambda_g2v=0.0)
-    got = visual_loss(f_rgb, f_3d, f_3d * 0 + 1.0, f_rgb, w, rows).item()
-    first = cosine_loss(f_3d * 0 + 1.0, f_3d, rows).item()
+    got = float(visual_loss(f_rgb, f_3d, f_3d * 0 + 1.0, f_rgb, w, rows).data)
+    first = float(cosine_loss(f_3d * 0 + 1.0, f_3d, rows).data)
     assert got == pytest.approx(2.0 * first, abs=1e-12)
 
 
@@ -127,7 +129,7 @@ def test_visual_loss_perfect_mappings():
     rng = np.random.default_rng(5)
     f_rgb = rng.standard_normal((4, 3))
     f_3d = rng.standard_normal((4, 6))
-    v = visual_loss(f_rgb, f_3d, f_3d, f_rgb, LossWeights(), _mean_weights(4)).item()
+    v = float(visual_loss(f_rgb, f_3d, f_3d, f_rgb, LossWeights(), _mean_weights(4)).data)
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
@@ -136,14 +138,16 @@ def test_text_loss_parallel_and_antiparallel():
     par = np.tile([2.0, 0.0, 0.0], (4, 1))
     anti = -par
     w, rows = LossWeights(), _mean_weights(4)
-    assert text_loss(par, par, anchor, w, rows).item() == pytest.approx(0.0, abs=1e-12)
-    assert text_loss(anti, anti, anchor, w, rows).item() == pytest.approx(4.0, abs=1e-12)
+    v_par = float(text_loss(par, par, anchor, w, rows).data)
+    v_anti = float(text_loss(anti, anti, anchor, w, rows).data)
+    assert v_par == pytest.approx(0.0, abs=1e-12)
+    assert v_anti == pytest.approx(4.0, abs=1e-12)
 
 
 def test_text_loss_half_parallel_half_orthogonal():
     anchor = np.tile([1.0, 0.0], (4, 1))
     feats = np.array([[3.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 2.0]])
-    v = text_loss(feats, feats, anchor, LossWeights(), _mean_weights(4)).item()
+    v = float(text_loss(feats, feats, anchor, LossWeights(), _mean_weights(4)).data)
     assert v == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,8 +157,8 @@ def test_text_loss_uses_one_shared_anchor():
     rng = np.random.default_rng(6)
     anchor = np.tile(rng.standard_normal((1, 4)), (5, 1))
     feats = rng.standard_normal((5, 4))
-    both = text_loss(feats, feats, anchor, LossWeights(), _mean_weights(5)).item()
-    one = cosine_loss(anchor, feats, _mean_weights(5)).item()
+    both = float(text_loss(feats, feats, anchor, LossWeights(), _mean_weights(5)).data)
+    one = float(cosine_loss(anchor, feats, _mean_weights(5)).data)
     assert both == pytest.approx(2.0 * one, abs=1e-12)
 
 
@@ -173,8 +177,8 @@ def test_text_loss_anchor_gradient_is_the_sum_of_both_terms():
 
 
 def test_total_loss_sum_and_recomposition():
-    assert total_loss(Tensor(0.0), Tensor(0.0)).item() == 0.0
-    assert total_loss(Tensor(0.4), Tensor(0.6)).item() == pytest.approx(1.0)
+    assert float(total_loss(Tensor(0.0), Tensor(0.0)).data) == 0.0
+    assert float(total_loss(Tensor(0.4), Tensor(0.6)).data) == pytest.approx(1.0)
 
 
 def test_total_loss_rejects_nonfinite():

@@ -9,7 +9,6 @@ import pytest
 import triad.oracles
 
 from triad.metrics import (
-    BinaryLabeledScores,
     MetricError,
     _integrate_to_limit,
     aupro,
@@ -31,38 +30,37 @@ from triad.oracles import (
 
 
 def test_auroc_hand_value():
-    s = BinaryLabeledScores([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
-    assert auroc(s) == pytest.approx(0.75)
+    assert auroc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == pytest.approx(0.75)
 
 
 def test_auroc_perfect_and_inverted():
-    assert auroc(BinaryLabeledScores([1, 2, 3, 4], [0, 0, 1, 1])) == 1.0
-    assert auroc(BinaryLabeledScores([4, 3, 2, 1], [0, 0, 1, 1])) == 0.0
+    assert auroc([1, 2, 3, 4], [0, 0, 1, 1]) == 1.0
+    assert auroc([4, 3, 2, 1], [0, 0, 1, 1]) == 0.0
 
 
 def test_auroc_all_tied_is_half():
-    assert auroc(BinaryLabeledScores([2.0] * 6, [0, 1, 0, 1, 0, 1])) == 0.5
+    assert auroc([2.0] * 6, [0, 1, 0, 1, 0, 1]) == 0.5
 
 
 def test_auroc_invariant_under_monotone_transform():
     rng = np.random.default_rng(0)
     scores = rng.standard_normal(30)
     labels = rng.random(30) > 0.5
-    base = auroc(BinaryLabeledScores(scores, labels))
-    warped = auroc(BinaryLabeledScores(np.exp(3.0 * scores) + 2.0, labels))
+    base = auroc(scores, labels)
+    warped = auroc(np.exp(3.0 * scores) + 2.0, labels)
     assert warped == pytest.approx(base, abs=1e-12)
 
 
 def test_auroc_missing_class_names_it():
     with pytest.raises(MetricError, match="no anomalous"):
-        auroc(BinaryLabeledScores([1.0, 2.0], [0, 0]))
+        auroc([1.0, 2.0], [0, 0])
     with pytest.raises(MetricError, match="no normal"):
-        auroc(BinaryLabeledScores([1.0, 2.0], [1, 1]))
+        auroc([1.0, 2.0], [1, 1])
 
 
 def test_auroc_length_mismatch():
     with pytest.raises(MetricError):
-        BinaryLabeledScores([1.0, 2.0], [0, 1, 1])
+        auroc([1.0, 2.0], [0, 1, 1])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -74,7 +72,7 @@ def test_auroc_matches_pair_counting_oracle(seed):
     labels = rng.random(n) > 0.5
     if labels.all() or not labels.any():
         labels[0] = ~labels[0]
-    got = auroc(BinaryLabeledScores(scores, labels))
+    got = auroc(scores, labels)
     assert got == pytest.approx(auroc_pair_counting(scores, labels), abs=1e-12)
 
 

@@ -252,10 +252,10 @@ def test_octa_forward_anchor_shape_and_determinism():
     t_embed = HashingEmbedder(8, seed=0).embed(build_prompts("bagel"))
     a = octa_forward(t_embed, 1, moe, proto, "eval", None)
     b = octa_forward(t_embed, 1, moe, proto, "eval", None)
-    assert a.shape == (1, 8)
+    assert a.data.shape == (1, 8)
     np.testing.assert_array_equal(a.data, b.data)
     two = octa_forward(np.concatenate([t_embed, t_embed]), 2, moe, proto, "eval", None)
-    assert two.shape == (2, 8)
+    assert two.data.shape == (2, 8)
     with pytest.raises(ValueError, match="equal blocks"):
         octa_forward(t_embed, 3, moe, proto, "eval", None)
 

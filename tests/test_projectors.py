@@ -26,7 +26,7 @@ def test_output_width_matches_target():
     for d_in, d_out in ((6, 4), (4, 8), (5, 5)):
         store, p = _mlp(d_in, d_out)
         out = project(Tensor(np.ones((3, d_in))), p)
-        assert out.shape == (3, d_out)
+        assert out.data.shape == (3, d_out)
 
 
 def test_default_hidden_width_is_max_of_ends():
