@@ -10,10 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller chose a count.  `evaluate` scores large
+# samples on one thread per CPU, and BLAS threads on top of those
+# oversubscribe the CPUs: with OpenBLAS's default count, a pooled 64x64
+# `triad eval` ran slower than a serial one on 2 CPUs.  The serial run took
+# the same time with one BLAS thread as with the default.  Must precede the
+# first numpy import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from .autograd import GRADCHECK_TOLERANCE, NonFiniteError
 from .config import ConfigError, build_run_config, check_fpr_limits, load_config

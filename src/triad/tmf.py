@@ -58,7 +58,7 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     end = start + count * dtype.itemsize
     if end > len(buf):
         raise TmfFormatError("truncated TMF1 payload")
-    arr = np.frombuffer(buf[start:end], dtype=dtype).reshape(shape)
+    arr = np.frombuffer(buf, dtype, count=count, offset=start).reshape(shape)
     return arr.copy(), end
 
 

@@ -488,6 +488,15 @@ def _eval_huge_at_valid_pixel(ctx):
     return _eval_argv(ctx)
 
 
+def _eval_huge_at_valid_pixel_pooled(ctx):
+    # scored on a two-worker pool on any machine; a later sample fails there
+    import triad.evaluate as ev
+    ctx.monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
+    ctx.monkeypatch.setattr(ev, "_POOL_MIN_ROWS", 0)
+    _set_rgb_at_first_pixel(Path(ctx.data) / "samples" / "test-00002", 1e200)
+    return _eval_argv(ctx)
+
+
 def _infer_huge_at_valid_pixel(ctx):
     sdir = _sample_dir(ctx.tmp, ctx.data)
     _set_rgb_at_first_pixel(sdir, 1e200)
@@ -650,6 +659,8 @@ EXIT_CODE_TABLE = [
     ("infer-nan-at-valid-pixel", _infer_nan_at_valid_pixel, EXIT_VALIDATION),
     ("infer-nan-filled-mask", _infer_nan_filled_mask, EXIT_VALIDATION),
     ("eval-huge-at-valid-pixel", _eval_huge_at_valid_pixel, EXIT_VALIDATION),
+    ("eval-huge-at-valid-pixel-pooled", _eval_huge_at_valid_pixel_pooled,
+     EXIT_VALIDATION),
     ("infer-huge-at-valid-pixel", _infer_huge_at_valid_pixel, EXIT_VALIDATION),
     ("infer-huge-at-invalid-pixel", _infer_huge_at_invalid_pixel, EXIT_OK),
     ("infer-nan-at-invalid-pixels", _infer_nan_at_invalid_pixels, EXIT_OK),
@@ -706,3 +717,19 @@ def test_module_entry_point_maps_errors_to_exit_codes(tmp_path, data_dir,
     err = proc.stderr.strip()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_asks_for_one_blas_thread_unless_one_was_chosen(preset, expected):
+    import triad
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(triad.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, triad.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

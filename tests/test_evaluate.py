@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import pytest
 import triad.evaluate as ev
 from triad.config import build_run_config, resolve_config
 from triad.evaluate import OracleMismatchError, evaluate, infer_maps
-from triad.metrics import MetricError
+from triad.metrics import MetricError, pixel_auroc
 from triad.model import Model, ModelDims
-from triad.autograd import no_grad
+from triad.autograd import NonFiniteError, no_grad
 from triad.scoring import FusionWeights, fuse, psi_3d, psi_rgb, psi_text
 from triad.synthdata import LabeledSample, SynthConfig, gen_dataset
 from triad.tmf import canonical_json
@@ -194,3 +195,100 @@ def test_report_and_map_bytes_are_pinned():
     assert test_samples[-1].is_anomalous
     assert hashlib.sha256(canonical_json(report)).hexdigest() == PINNED_REPORT_SHA256
     assert hashlib.sha256(final.tobytes()).hexdigest() == PINNED_MAP_SHA256
+
+
+@pytest.fixture(scope="module")
+def highres():
+    """A 2-class head trained 20 steps at 8x8 and a 40x40 test split, whose
+    samples hold 1444 valid rows each, above `_POOL_MIN_ROWS`."""
+    overrides = {"data": {"classes": ["bagel", "dowel"], "n_train": 16, "n_test": 8,
+                          "height": 8, "width": 8}, "train": {"steps": 20}}
+    cfg = build_run_config(resolve_config(overrides))
+    train_samples, _ = gen_dataset(cfg.data, cfg.seed)
+    model = Model(cfg.dims, seed=cfg.seed, catalog=cfg.catalog,
+                  mapper_kind=cfg.mapper_kind)
+    train(cfg.train, model, train_samples)
+    overrides["data"].update(height=40, width=40)
+    _, test_samples = gen_dataset(build_run_config(resolve_config(overrides)).data,
+                                  cfg.seed)
+    assert min(np.count_nonzero(s.mask) for s in test_samples) >= ev._POOL_MIN_ROWS
+    return model, test_samples, cfg
+
+
+def _two_cpus(m, gate: int) -> list:
+    """Give `evaluate` two usable CPUs and a pool gate of `gate` rows; the
+    returned list gains the arguments of each thread pool it builds."""
+    built = []
+
+    class CountedPool(ev.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    m.setattr(ev, "_usable_cpus", lambda: 2)
+    m.setattr(ev, "_POOL_MIN_ROWS", gate)
+    m.setattr(ev, "ThreadPoolExecutor", CountedPool)
+    return built
+
+
+def test_pooled_scoring_gives_the_serial_bytes(monkeypatch, highres):
+    model, test, cfg = highres
+    above_every_sample = max(np.count_nonzero(s.mask) for s in test) + 1
+    reports, maps, pools = {}, {}, {}
+    for gate in (0, above_every_sample):  # pooled, then serial
+        seen = maps[gate] = []
+
+        def recording_pixel_auroc(class_maps, gts, valids, seen=seen):
+            seen.extend(class_maps)
+            return pixel_auroc(class_maps, gts, valids)
+
+        with monkeypatch.context() as m:
+            pools[gate] = _two_cpus(m, gate)
+            m.setattr(ev, "pixel_auroc", recording_pixel_auroc)
+            reports[gate] = canonical_json(evaluate(model, test, cfg.fusion,
+                                                    cfg.fpr_limits, oracle_check=True))
+    assert pools == {0: [(2,)], above_every_sample: []}
+    assert reports[0] == reports[above_every_sample]
+    in_class_order = sorted(test, key=lambda s: s.class_name)
+    assert len(maps[0]) == len(maps[above_every_sample]) == len(test)
+    for s, pooled, serial in zip(in_class_order, maps[0], maps[above_every_sample]):
+        alone, _ = infer_maps(model, s, cfg.fusion)
+        assert pooled.tobytes() == serial.tobytes() == alone.tobytes()
+
+
+def test_default_split_is_scored_without_a_pool(monkeypatch):
+    cfg = build_run_config(resolve_config({}))
+    _, test = gen_dataset(cfg.data, cfg.seed)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 16x16 split must be scored serially")
+
+    monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", no_pool)
+    model = Model(cfg.dims, seed=cfg.seed, catalog=cfg.catalog,
+                  mapper_kind=cfg.mapper_kind)
+    report = evaluate(model, test, cfg.fusion, cfg.fpr_limits)
+    assert sum(report["sample_counts"].values()) == len(test)
+
+
+def test_a_worker_error_reaches_the_caller_and_no_thread_outlives_it(monkeypatch,
+                                                                      highres):
+    model, test, cfg = highres
+    k = 5  # a later sample of the first class: the workers have started
+    bad = LabeledSample(test[k].class_name, test[k].f_rgb.copy(), test[k].f_3d,
+                        test[k].mask, test[k].gt_pixels, test[k].is_anomalous)
+    r, c = np.argwhere(bad.mask)[0]
+    bad.f_rgb[r, c, 0] = 1e200
+    samples = test[:k] + [bad] + test[k + 1:]
+    threads = threading.active_count()
+    errors, pools = {}, {}
+    for gate in (0, 10**9):  # pooled, then serial
+        with monkeypatch.context() as m:
+            pools[gate] = _two_cpus(m, gate)
+            with pytest.raises(NonFiniteError) as exc:
+                evaluate(model, samples, cfg.fusion, cfg.fpr_limits)
+        errors[gate] = str(exc.value)
+        assert threading.active_count() == threads
+    assert pools == {0: [(2,)], 10**9: []}
+    assert errors[0] == errors[10**9]
+    assert "too large for the head" in errors[0]
