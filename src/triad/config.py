@@ -22,6 +22,7 @@ from .model import MAPPER_GACM, MAPPER_MLP, ModelDims
 from .octa import PromptCatalog
 from .scoring import FusionWeights
 from .synthdata import SynthConfig
+from .tmf import canonical_json
 from .trainer import TrainConfig
 
 
@@ -104,8 +105,7 @@ def resolve_config(overrides: dict | None = None,
 
 
 def config_hash(resolved: dict) -> str:
-    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(canonical_json(resolved)).hexdigest()
 
 
 @dataclass

@@ -22,9 +22,8 @@ from .oracles import auroc_pair_counting, aupro_exhaustive, pro_points_exhaustiv
 from .scoring import (
     FusionWeights,
     ShapeMismatchError,
+    distance_map,
     fuse,
-    psi_3d,
-    psi_rgb,
     psi_text,
 )
 from .synthdata import LabeledSample
@@ -65,8 +64,8 @@ def infer_maps(model: Model, sample: LabeledSample, fusion: FusionWeights,
         rows = model.forward_sample(sample.f_rgb[sample.mask], sample.f_3d[sample.mask])
         if anchor is None:
             anchor = model.text_anchor(sample.class_name, mode="eval").data
-        m_rgb = psi_rgb(rows["f_rgb"].data, rows["f_3d_to_rgb"].data)
-        m_3d = psi_3d(rows["f_3d"].data, rows["f_rgb_to_3d"].data)
+        m_rgb = distance_map(rows["f_rgb"].data, rows["f_3d_to_rgb"].data)
+        m_3d = distance_map(rows["f_3d"].data, rows["f_rgb_to_3d"].data)
         m_text = psi_text(anchor, rows["f_rgb_to_text"].data, rows["f_3d_to_text"].data)
         fused = fuse(m_rgb, m_3d, m_text, fusion)
     if not np.isfinite(fused).all():
@@ -124,9 +123,9 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
             counts[cname] = len(samples)
             maps, scores, labels = [], [], []
             for s in samples:
-                final, score = next(scored)
+                final, image_score = next(scored)
                 maps.append(final)
-                scores.append(score)
+                scores.append(image_score)
                 labels.append(s.is_anomalous)
             gts = [s.gt_pixels for s in samples]
             valids = [s.mask for s in samples]
@@ -137,7 +136,7 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
             # one curve per class serves every limit
             curve = pro_curve(maps, gts, valids) if fpr_limits else None
             for lim in fpr_limits:
-                entry[aupro_key(lim)] = aupro(maps, gts, valids, lim, curve)
+                entry[aupro_key(lim)] = aupro(curve, lim)
             if oracle_check:
                 _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits)
             per_class[cname] = entry
@@ -161,7 +160,7 @@ def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits) -> Non
     points = (pro_points_exhaustive(maps, gts, valids, max(fpr_limits))
               if fpr_limits else [])
     for lim in fpr_limits:
-        ref = aupro_exhaustive(maps, gts, valids, lim, points)
+        ref = aupro_exhaustive(points, lim)
         key = aupro_key(lim)
         if abs(entry[key] - ref) > _AUPRO_ORACLE_TOL:
             raise OracleMismatchError(f"{key} {entry[key]} != oracle {ref}")

@@ -34,10 +34,7 @@ def _init_linear(store: ParameterStore, prefix: str, d_in: int, d_out: int,
 def _init_identity_linear(store: ParameterStore, prefix: str, d_in: int,
                           d_out: int) -> LinearParams:
     # identity when square, zero-padded identity otherwise
-    w0 = np.zeros((d_in, d_out))
-    for i in range(min(d_in, d_out)):
-        w0[i, i] = 1.0
-    w = store.register(f"{prefix}.weight", w0)
+    w = store.register(f"{prefix}.weight", np.eye(d_in, d_out))
     b = store.register(f"{prefix}.bias", np.zeros(d_out))
     return LinearParams(w, b)
 
@@ -46,28 +43,13 @@ class GacmParams:
     """All trainable tensors of the mapper, registered under "gacm." in `store`."""
 
     def __init__(self, store: ParameterStore, d_rgb: int, d_3d: int,
-                 rng: np.random.Generator, zero_branches: bool = False):
+                 rng: np.random.Generator):
         self.phi_s = _init_linear(store, "gacm.phi_s", d_rgb, d_3d, rng)
         self.phi_g = _init_linear(store, "gacm.phi_g", d_rgb, d_3d, rng)
         self.w_gate = _init_linear(store, "gacm.w_gate", d_3d, d_3d, rng)
-        if zero_branches:  # exact pass-through initialization
-            for lin in (self.phi_s, self.phi_g, self.w_gate):
-                lin.weight.data[...] = 0.0
         self.ln_gain = store.register("gacm.ln_gain", np.ones(d_3d))
         self.ln_shift = store.register("gacm.ln_shift", np.zeros(d_3d))
         self.residual = _init_identity_linear(store, "gacm.residual", d_rgb, d_3d)
-
-
-def gacm_bifurcate(f_rgb, p: GacmParams) -> tuple[Tensor, Tensor]:
-    """Split the RGB grid into semantic and geometric branches."""
-    f_sem = linear_forward(f_rgb, p.phi_s)
-    f_geo = linear_forward(f_rgb, p.phi_g)
-    return f_sem, f_geo
-
-
-def gacm_gate(f_geo, p: GacmParams) -> Tensor:
-    """Sigmoid gate derived from the geometric branch; values in (0, 1)."""
-    return sigmoid(linear_forward(f_geo, p.w_gate))
 
 
 def gacm_fuse(f_sem: Tensor, f_geo: Tensor, gate: Tensor) -> Tensor:
@@ -81,8 +63,9 @@ def gacm_fuse(f_sem: Tensor, f_geo: Tensor, gate: Tensor) -> Tensor:
 
 def gacm_forward(f_rgb, p: GacmParams) -> Tensor:
     """Full mapper: residual(F_rgb) + GELU(LN(fused))."""
-    f_sem, f_geo = gacm_bifurcate(f_rgb, p)
-    gate = gacm_gate(f_geo, p)
+    f_sem = linear_forward(f_rgb, p.phi_s)
+    f_geo = linear_forward(f_rgb, p.phi_g)
+    gate = sigmoid(linear_forward(f_geo, p.w_gate))
     fused = gacm_fuse(f_sem, f_geo, gate)
     mimic = gelu(layer_norm(fused, p.ln_gain, p.ln_shift))
     return add(linear_forward(f_rgb, p.residual), mimic)

@@ -126,14 +126,9 @@ def aupro_key(fpr_limit: float) -> str:
     return f"aupro@{fpr_limit:g}"
 
 
-def aupro(maps, gt_masks, valid, fpr_limit: float,
-          curve: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Normalized area under the per-region-overlap curve up to `fpr_limit`.
-
-    `curve` may pass the :func:`pro_curve` of the same maps, so that several
-    limits share one curve; by default this call builds it.
-    """
+def aupro(curve: tuple[np.ndarray, np.ndarray], fpr_limit: float) -> float:
+    """Normalized area under a :func:`pro_curve` up to `fpr_limit`."""
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
-    fprs, pros = pro_curve(maps, gt_masks, valid) if curve is None else curve
+    fprs, pros = curve
     return _integrate_to_limit(fprs, pros, fpr_limit) / fpr_limit

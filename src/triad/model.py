@@ -66,7 +66,7 @@ class Model:
         # frozen prompt embeddings per class name, filled on first use
         self._prompt_embeddings: dict[str, np.ndarray] = {}
         self.store = ParameterStore()
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+        rng = np.random.default_rng([seed, 0])
         if mapper_kind == MAPPER_GACM:
             self.mapper = GacmParams(self.store, dims.d_rgb, dims.d_3d, rng)
         else:

@@ -85,8 +85,7 @@ class HashingEmbedder:
         v = self._cache.get(token)
         if v is None:
             digest = hashlib.sha256(f"{self.seed}:{token}".encode()).digest()
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(int.from_bytes(digest[:8], "little"))))
+            rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
             v = rng.standard_normal(self.d_text)
             v /= np.linalg.norm(v)
             self._cache[token] = v

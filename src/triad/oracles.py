@@ -85,18 +85,11 @@ def pro_points_exhaustive(maps, gt_masks, valid,
     return points
 
 
-def aupro_exhaustive(maps, gt_masks, valid, fpr_limit: float,
-                     points: list[tuple[float, float]] | None = None) -> float:
-    """Threshold-by-threshold AUPRO with naive trapezoid integration.
-
-    `points` may pass a sweep of the same maps from
-    :func:`pro_points_exhaustive` that reaches at least `fpr_limit`, so that
-    several limits share one sweep; by default this call sweeps.
-    """
+def aupro_exhaustive(points: list[tuple[float, float]], fpr_limit: float) -> float:
+    """Naive trapezoid AUPRO of a :func:`pro_points_exhaustive` sweep that
+    reaches at least `fpr_limit`."""
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricError(f"fpr_limit must be in (0, 1], got {fpr_limit}")
-    if points is None:
-        points = pro_points_exhaustive(maps, gt_masks, valid, fpr_limit)
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         if x0 >= fpr_limit:

@@ -43,16 +43,6 @@ def distance_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(((a - b) ** 2).sum(axis=-1))
 
 
-def psi_rgb(f_rgb: np.ndarray, f_3d_to_rgb: np.ndarray) -> np.ndarray:
-    """RGB-space discrepancy between observed features and the 3D-to-RGB mapping."""
-    return distance_map(f_rgb, f_3d_to_rgb)
-
-
-def psi_3d(f_3d: np.ndarray, f_rgb_to_3d: np.ndarray) -> np.ndarray:
-    """3D-space discrepancy between observed features and the RGB-to-3D mapping."""
-    return distance_map(f_3d, f_rgb_to_3d)
-
-
 def psi_text(text_anchor: np.ndarray, f_rgb_to_text: np.ndarray,
              f_3d_to_text: np.ndarray) -> np.ndarray:
     """Product of the two per-patch distances to the (1, D) text anchor."""
@@ -60,14 +50,18 @@ def psi_text(text_anchor: np.ndarray, f_rgb_to_text: np.ndarray,
             * distance_map(text_anchor, f_3d_to_text))
 
 
-def fuse(psi_rgb_map: np.ndarray, psi_3d_map: np.ndarray, psi_text_map: np.ndarray,
+def fuse(map_rgb: np.ndarray, map_3d: np.ndarray, map_text: np.ndarray,
          w: FusionWeights | None = None) -> np.ndarray:
-    """Final map: alpha * (psi_rgb * psi_3d) + beta * psi_text, per pixel."""
+    """Final map: alpha * (map_rgb * map_3d) + beta * map_text, per pixel.
+
+    `map_rgb` and `map_3d` are the `distance_map`s between each modality's
+    observed rows and the rows mapped from the other modality.
+    """
     if w is None:
         w = FusionWeights()
-    r = np.asarray(psi_rgb_map, dtype=np.float64)
-    g = np.asarray(psi_3d_map, dtype=np.float64)
-    t = np.asarray(psi_text_map, dtype=np.float64)
+    r = np.asarray(map_rgb, dtype=np.float64)
+    g = np.asarray(map_3d, dtype=np.float64)
+    t = np.asarray(map_text, dtype=np.float64)
     if r.shape != g.shape or r.shape != t.shape:
         raise ShapeMismatchError(
             f"map shapes differ: {r.shape}, {g.shape}, {t.shape}")

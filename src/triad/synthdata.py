@@ -90,13 +90,6 @@ class LabeledSample:
     is_anomalous: bool
 
 
-def _rng_from(seed) -> np.random.Generator:
-    """Generator from either an int seed or an already derived SeedSequence."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def _full_column_rank_matrix(rng: np.random.Generator, rows: int,
                              cols: int) -> np.ndarray:
     for _ in range(100):
@@ -108,7 +101,7 @@ def _full_column_rank_matrix(rng: np.random.Generator, rows: int,
 
 def make_class_generator(class_name: str, cfg: SynthConfig,
                          seed_seq: np.random.SeedSequence) -> ClassGenerator:
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
+    rng = np.random.default_rng(seed_seq)
     return ClassGenerator(
         class_name=class_name,
         a_rgb=_full_column_rank_matrix(rng, cfg.d_rgb, cfg.d_latent),
@@ -125,15 +118,22 @@ def _smooth_latent(rng: np.random.Generator, h: int, w: int, d: int,
     return z
 
 
+def _observe(z: np.ndarray, a: np.ndarray, cfg: SynthConfig,
+             rng: np.random.Generator) -> np.ndarray:
+    """One modality's features: the linear image `z @ a.T` of the latent
+    plus observation noise."""
+    return z @ a.T + cfg.noise_sigma * rng.standard_normal(z.shape[:-1] + a.shape[:1])
+
+
 def gen_nominal(cg: ClassGenerator, seed) -> LabeledSample:
     """One nominal sample on the configured grid: both modalities are linear
     images of one latent field."""
     cfg = cg.cfg
     h, w = cfg.height, cfg.width
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     z = _smooth_latent(rng, h, w, cg.a_rgb.shape[1], cfg.smoothness)
-    f_rgb = z @ cg.a_rgb.T + cfg.noise_sigma * rng.standard_normal((h, w, cg.a_rgb.shape[0]))
-    f_3d = z @ cg.a_3d.T + cfg.noise_sigma * rng.standard_normal((h, w, cg.a_3d.shape[0]))
+    f_rgb = _observe(z, cg.a_rgb, cfg, rng)
+    f_3d = _observe(z, cg.a_3d, cfg, rng)
     mask = np.zeros((h, w), dtype=bool)
     b = cfg.border
     mask[b:h - b, b:w - b] = True
@@ -167,7 +167,7 @@ def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed) -> LabeledSample:
     if s.is_anomalous:
         raise ValueError("inject_anomaly expects a nominal input sample")
     cfg = cg.cfg
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     n_valid = int(s.mask.sum())
     frac = rng.uniform(cfg.area_frac_min, cfg.area_frac_max)
     target_count = max(1, round(frac * n_valid))
@@ -182,12 +182,8 @@ def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed) -> LabeledSample:
     z_alt *= (3.0 ** -cfg.smoothness)
     f_rgb = s.f_rgb.copy()
     f_3d = s.f_3d.copy()
-    if cfg.corrupt_modality == "3d":
-        f_3d[blob] = z_alt @ cg.a_3d.T + cfg.noise_sigma * rng.standard_normal(
-            (n_blob, cg.a_3d.shape[0]))
-    else:
-        f_rgb[blob] = z_alt @ cg.a_rgb.T + cfg.noise_sigma * rng.standard_normal(
-            (n_blob, cg.a_rgb.shape[0]))
+    f, a = (f_3d, cg.a_3d) if cfg.corrupt_modality == "3d" else (f_rgb, cg.a_rgb)
+    f[blob] = _observe(z_alt, a, cfg, rng)
     return LabeledSample(s.class_name, f_rgb, f_3d, s.mask.copy(), blob, True)
 
 

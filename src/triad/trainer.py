@@ -105,8 +105,7 @@ def train_step(batch: list[LabeledSample], model: Model, opt: AdamState,
         if s.is_anomalous:
             raise TrainingContractError(
                 f"anomalous sample of class {s.class_name!r} in training batch")
-    dropout_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([cfg.seed, 1, step])))
+    dropout_rng = np.random.default_rng([cfg.seed, 1, step])
     model.store.zero_grad()
     loss, l_vis, l_text = batch_loss(model, batch, cfg.loss_weights,
                                      mode="train", dropout_rng=dropout_rng)
@@ -136,8 +135,7 @@ def train(cfg: TrainConfig, model: Model, train_samples: list[LabeledSample]
     if not train_samples:
         raise ValueError("empty training set")
     opt = AdamState(model)
-    shuffle_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([cfg.seed, 2])))
+    shuffle_rng = np.random.default_rng([cfg.seed, 2])
     order: list[int] = []
     loss_log: list[dict] = []
     for step in range(cfg.steps):

@@ -33,7 +33,7 @@ from triad.cli import main as cli_main
 from triad.config import build_run_config, resolve_config
 from triad.evaluate import evaluate
 from triad.gacm import GacmParams, gacm_forward, gacm_fuse
-from triad.metrics import auroc, aupro
+from triad.metrics import auroc, aupro, pro_curve
 from triad.model import Model
 from triad.octa import (
     DEFAULT_STATES,
@@ -46,7 +46,7 @@ from triad.octa import (
     octa_forward,
     HashingEmbedder,
 )
-from triad.oracles import aupro_exhaustive, auroc_pair_counting
+from triad.oracles import aupro_exhaustive, auroc_pair_counting, pro_points_exhaustive
 from triad.projectors import MlpParams, project
 from triad.scoring import FusionWeights, distance_map, fuse
 from triad.synthdata import MVTEC_CLASS_NAMES, gen_dataset
@@ -210,9 +210,11 @@ def test_criterion_2_formula_exactness(capsys):
     b = np.array([[3.0, 4.0]])
     pythag_ok = distance_map(a, b)[0] == 5.0
 
-    # square pass-through mapper is an exact identity
+    # square pass-through mapper (zeroed branch weights) is an exact identity
     store = ParameterStore()
-    p = GacmParams(store, 5, 5, rng, zero_branches=True)
+    p = GacmParams(store, 5, 5, rng)
+    for lin in (p.phi_s, p.phi_g, p.w_gate):
+        lin.weight.data[...] = 0.0
     x = rng.standard_normal((9, 5))
     ident_ok = bool((gacm_forward(Tensor(x), p).data == x).all())
 
@@ -257,8 +259,8 @@ def test_criterion_3_metric_oracles(capsys):
             gts.append(gt)
             valids.append(v)
         limit = float(rng.choice([0.3, 0.01, 1.0]))
-        got = aupro(maps, gts, valids, limit)
-        ref = aupro_exhaustive(maps, gts, valids, limit)
+        got = aupro(pro_curve(maps, gts, valids), limit)
+        ref = aupro_exhaustive(pro_points_exhaustive(maps, gts, valids, limit), limit)
         aupro_max = max(aupro_max, abs(got - ref))
     elapsed = time.time() - t0
     ok = auroc_max == 0.0 and aupro_max <= 1e-6 and elapsed < 120.0

@@ -13,7 +13,7 @@ from triad.evaluate import OracleMismatchError, evaluate, infer_maps
 from triad.metrics import MetricError, pixel_auroc
 from triad.model import Model, ModelDims
 from triad.autograd import NonFiniteError, no_grad
-from triad.scoring import FusionWeights, fuse, psi_3d, psi_rgb, psi_text
+from triad.scoring import FusionWeights, distance_map, fuse, psi_text
 from triad.synthdata import LabeledSample, SynthConfig, gen_dataset
 from triad.tmf import canonical_json
 from triad.trainer import train
@@ -46,8 +46,8 @@ def _full_grid_maps(model, s, fusion):
     with no_grad():
         rows = model.forward_sample(s.f_rgb, s.f_3d)
         anchor = model.text_anchor(s.class_name, mode="eval").data
-        fused = fuse(psi_rgb(rows["f_rgb"].data, rows["f_3d_to_rgb"].data),
-                     psi_3d(rows["f_3d"].data, rows["f_rgb_to_3d"].data),
+        fused = fuse(distance_map(rows["f_rgb"].data, rows["f_3d_to_rgb"].data),
+                     distance_map(rows["f_3d"].data, rows["f_rgb_to_3d"].data),
                      psi_text(anchor, rows["f_rgb_to_text"].data,
                               rows["f_3d_to_text"].data), fusion).reshape(s.mask.shape)
     final = fused.copy()
@@ -166,10 +166,10 @@ def test_oracle_check_sweeps_once_per_class_and_integrates_per_limit(monkeypatch
     monkeypatch.setattr(ev, "aupro_exhaustive", record(integrations, ev.aupro_exhaustive))
     evaluate(model, test, FusionWeights(), [0.3, 0.05], oracle_check=True)
     assert len(sweeps) == 2  # one per class
-    assert [(len(args), kwargs, args[3]) for args, kwargs, _ in integrations] == [
-        (5, {}, 0.3), (5, {}, 0.05)] * 2
+    assert [(len(args), kwargs, args[1]) for args, kwargs, _ in integrations] == [
+        (2, {}, 0.3), (2, {}, 0.05)] * 2
     for c, (_, _, points) in enumerate(sweeps):  # each class's limits share its sweep
-        assert integrations[2 * c][0][4] is integrations[2 * c + 1][0][4] is points
+        assert integrations[2 * c][0][0] is integrations[2 * c + 1][0][0] is points
 
 
 # SHA-256 of the canonical-JSON report of an oracle-checked evaluation, and of

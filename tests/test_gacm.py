@@ -1,7 +1,11 @@
 """Tests for the geometry-aware RGB-to-3D mapper."""
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from triad.autograd import (
     DimensionMismatchError,
@@ -9,35 +13,51 @@ from triad.autograd import (
     Tensor,
     finite_diff_gradient_check,
     mul,
+    no_grad,
     tensor_sum,
 )
-from triad.gacm import (
-    GacmParams,
-    gacm_bifurcate,
-    gacm_forward,
-    gacm_fuse,
-    gacm_gate,
-)
+from triad.gacm import GacmParams, gacm_forward, gacm_fuse
 
 
 def _params(d_rgb=4, d_3d=6, seed=0, zero_branches=False):
     store = ParameterStore()
     rng = np.random.default_rng(seed)
-    return store, GacmParams(store, d_rgb, d_3d, rng, zero_branches=zero_branches)
+    p = GacmParams(store, d_rgb, d_3d, rng)
+    if zero_branches:  # exact pass-through: only the residual is left
+        for lin in (p.phi_s, p.phi_g, p.w_gate):
+            lin.weight.data[...] = 0.0
+    return store, p
 
 
-def test_bifurcate_shapes():
-    store, p = _params()
-    f_sem, f_geo = gacm_bifurcate(Tensor(np.ones((5, 4))), p)
-    assert f_sem.data.shape == (5, 6)
-    assert f_geo.data.shape == (5, 6)
+def _gacm_reference(x, p):
+    """The mapper in plain numpy, in the autograd's operation order."""
+    def linear(v, lin):
+        return v @ lin.weight.data + lin.bias.data
+
+    sem = linear(x, p.phi_s)
+    geo = linear(x, p.phi_g)
+    g = 1.0 / (np.exp(-linear(geo, p.w_gate)) + 1.0)
+    fused = geo * g + sem * (1.0 - g)
+    inv_n = 1.0 / fused.shape[-1]
+    xc = fused - fused.sum(axis=-1, keepdims=True) * inv_n
+    den = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_n + 1e-5)
+    ln = xc / den * p.ln_gain.data + p.ln_shift.data
+    mimic = ln * ((erf(ln * (1.0 / math.sqrt(2.0))) + 1.0) * 0.5)
+    return linear(x, p.residual) + mimic
 
 
-def test_gate_strictly_inside_unit_interval():
-    store, p = _params(seed=1)
-    rng = np.random.default_rng(2)
-    gate = gacm_gate(Tensor(rng.standard_normal((8, 6)) * 5), p)
-    assert (gate.data > 0.0).all() and (gate.data < 1.0).all()
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("grad", [True, False])
+def test_forward_equals_the_numpy_reference(seed, grad):
+    rng = np.random.default_rng(seed + 20)
+    store, p = _params(d_rgb=12, d_3d=18, seed=seed)
+    for t in (p.ln_gain, p.ln_shift, p.phi_s.bias, p.phi_g.bias, p.w_gate.bias):
+        t.data[...] = rng.standard_normal(t.data.shape)  # reach every term
+    x = 3.0 * rng.standard_normal((37, 12))
+    with contextlib.nullcontext() if grad else no_grad():
+        out = gacm_forward(Tensor(x), p)
+    assert out.data.shape == (37, 18)
+    assert (out.data == _gacm_reference(x, p)).all()
 
 
 def test_fuse_convex_between_inputs():

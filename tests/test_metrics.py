@@ -184,26 +184,29 @@ def test_aupro_perfect_map_is_one():
     gt[2:4, 2:4] = True
     m = gt.astype(float)
     v = np.ones((6, 6), dtype=bool)
-    assert aupro([m], [gt], [v], fpr_limit=0.3) == pytest.approx(1.0)
+    assert aupro(pro_curve([m], [gt], [v]), fpr_limit=0.3) == pytest.approx(1.0)
 
 
 def test_aupro_limit_validation():
     m = np.ones((2, 2))
     gt = np.array([[True, False], [False, False]])
     v = np.ones((2, 2), bool)
-    with pytest.raises(MetricError):
-        aupro([m], [gt], [v], fpr_limit=0.0)
-    with pytest.raises(MetricError):
-        aupro([m], [gt], [v], fpr_limit=1.5)
+    curve = pro_curve([m], [gt], [v])
+    points = pro_points_exhaustive([m], [gt], [v])
+    for limit in (0.0, 1.5):
+        with pytest.raises(MetricError):
+            aupro(curve, fpr_limit=limit)
+        with pytest.raises(MetricError):
+            aupro_exhaustive(points, fpr_limit=limit)
 
 
 def test_aupro_requires_region_and_negatives():
     m = np.ones((2, 2))
     v = np.ones((2, 2), bool)
     with pytest.raises(MetricError, match="region"):
-        aupro([m], [np.zeros((2, 2), bool)], [v], fpr_limit=0.3)
+        pro_curve([m], [np.zeros((2, 2), bool)], [v])
     with pytest.raises(MetricError, match="normal"):
-        aupro([m], [np.ones((2, 2), bool)], [v], fpr_limit=0.3)
+        pro_curve([m], [np.ones((2, 2), bool)], [v])
 
 
 def test_pro_curve_starts_at_origin_and_is_monotone():
@@ -220,8 +223,9 @@ def test_aupro_sample_permutation_invariant():
     rng = np.random.default_rng(3)
     batch = [_one_sample(rng) for _ in range(4)]
     maps, gts, vs = zip(*batch)
-    a = aupro(list(maps), list(gts), list(vs), fpr_limit=0.3)
-    rev = aupro(list(maps)[::-1], list(gts)[::-1], list(vs)[::-1], fpr_limit=0.3)
+    a = aupro(pro_curve(list(maps), list(gts), list(vs)), fpr_limit=0.3)
+    rev = aupro(pro_curve(list(maps)[::-1], list(gts)[::-1], list(vs)[::-1]),
+                fpr_limit=0.3)
     assert rev == pytest.approx(a, abs=1e-12)
 
 
@@ -236,20 +240,10 @@ def test_aupro_matches_exhaustive_oracle(seed, limit):
     # quantize a few maps to force threshold ties
     if seed % 2:
         maps = [np.round(m, 1) for m in maps]
-    got = aupro(maps, gts, vs, fpr_limit=limit)
-    ref = aupro_exhaustive(maps, gts, vs, fpr_limit=limit)
+    got = aupro(pro_curve(maps, gts, vs), fpr_limit=limit)
+    ref = aupro_exhaustive(pro_points_exhaustive(maps, gts, vs, limit), fpr_limit=limit)
     assert got == pytest.approx(ref, abs=1e-6)
     assert 0.0 <= got <= 1.0 + 1e-12
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_aupro_curve_shared_by_limits(seed):
-    rng = np.random.default_rng(seed)
-    batch = [_one_sample(rng, h=8, w=9) for _ in range(3)]
-    maps, gts, vs = map(list, zip(*batch))
-    curve = pro_curve(maps, gts, vs)
-    for limit in (0.3, 0.01, 1.0):
-        assert aupro(maps, gts, vs, limit, curve) == aupro(maps, gts, vs, limit)
 
 
 def _integrate_loop(fprs, pros, limit):
@@ -299,8 +293,8 @@ def test_exhaustive_sweep_shared_by_limits(seed):
     assert points[-1][0] >= 0.3 > points[-2][0]
     assert len(points) < len(pro_points_exhaustive(maps, gts, vs))
     for limit in (0.3, 0.01):
-        assert (aupro_exhaustive(maps, gts, vs, limit, points)
-                == aupro_exhaustive(maps, gts, vs, limit))
+        assert (aupro_exhaustive(points, limit)
+                == aupro_exhaustive(pro_points_exhaustive(maps, gts, vs, limit), limit))
 
 
 # ---------------------------------------------------------------------------

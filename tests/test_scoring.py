@@ -8,8 +8,6 @@ from triad.scoring import (
     ShapeMismatchError,
     distance_map,
     fuse,
-    psi_3d,
-    psi_rgb,
     psi_text,
 )
 
@@ -40,13 +38,6 @@ def test_distance_map_shape_checks():
         distance_map(np.zeros((2, 3)), np.zeros((4, 3)))
     with pytest.raises(ShapeMismatchError):  # grids are flattened by the caller
         distance_map(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
-
-
-def test_psi_rgb_and_psi_3d_are_distance_maps():
-    rng = np.random.default_rng(1)
-    a, b = _rows(rng), _rows(rng)
-    np.testing.assert_array_equal(psi_rgb(a, b), distance_map(a, b))
-    np.testing.assert_array_equal(psi_3d(a, b), distance_map(a, b))
 
 
 def test_psi_text_annihilated_by_one_perfect_side():
