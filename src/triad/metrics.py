@@ -10,26 +10,47 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
-from scipy.stats import rankdata
 
 
 class MetricError(ValueError):
     pass
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share their mean rank.
+
+    The values of `scipy.stats.rankdata(x, method="average")`: each is a
+    whole or half integer, so exact in float64.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    # sorted positions [start, end) hold ranks start + 1 .. end
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auroc(scores, labels) -> float:
-    """Area under the ROC curve via the Mann-Whitney U statistic; True = anomalous."""
+    """Area under the ROC curve via the Mann-Whitney U statistic; True = anomalous.
+
+    `MetricError` for a NaN score, which has no rank; +-inf scores are ranked.
+    """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     pos = np.asarray(labels, dtype=bool).ravel()
     if scores.shape != pos.shape:
         raise MetricError("scores and labels must have equal length")
+    n_nan = int(np.isnan(scores).sum())
+    if n_nan:
+        raise MetricError(f"auroc undefined: {n_nan} score(s) are NaN")
     n_pos = int(pos.sum())
     n_neg = int((~pos).sum())
     if n_pos == 0:
         raise MetricError("auroc undefined: no anomalous (positive) sample")
     if n_neg == 0:
         raise MetricError("auroc undefined: no normal (negative) sample")
-    ranks = rankdata(scores, method="average")
+    ranks = average_ranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

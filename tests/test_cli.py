@@ -497,6 +497,11 @@ def _eval_huge_at_valid_pixel_pooled(ctx):
     return _eval_argv(ctx)
 
 
+def _train_huge_at_valid_pixel(ctx):
+    _set_rgb_at_first_pixel(Path(ctx.data) / "samples" / "train-00000", 1e200)
+    return _train_argv(ctx)
+
+
 def _infer_huge_at_valid_pixel(ctx):
     sdir = _sample_dir(ctx.tmp, ctx.data)
     _set_rgb_at_first_pixel(sdir, 1e200)
@@ -661,6 +666,7 @@ EXIT_CODE_TABLE = [
     ("eval-huge-at-valid-pixel", _eval_huge_at_valid_pixel, EXIT_VALIDATION),
     ("eval-huge-at-valid-pixel-pooled", _eval_huge_at_valid_pixel_pooled,
      EXIT_VALIDATION),
+    ("train-huge-at-valid-pixel", _train_huge_at_valid_pixel, EXIT_VALIDATION),
     ("infer-huge-at-valid-pixel", _infer_huge_at_valid_pixel, EXIT_VALIDATION),
     ("infer-huge-at-invalid-pixel", _infer_huge_at_invalid_pixel, EXIT_OK),
     ("infer-nan-at-invalid-pixels", _infer_nan_at_invalid_pixels, EXIT_OK),
@@ -733,3 +739,17 @@ def test_cli_asks_for_one_blas_thread_unless_one_was_chosen(preset, expected):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
+
+
+def test_cli_import_loads_no_scipy_stats():
+    import triad
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(triad.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, triad.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

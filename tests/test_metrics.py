@@ -5,6 +5,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 import triad.oracles
 
@@ -13,6 +14,7 @@ from triad.metrics import (
     _integrate_to_limit,
     aupro,
     auroc,
+    average_ranks,
     connected_components,
     pixel_auroc,
     pro_curve,
@@ -23,6 +25,27 @@ from triad.oracles import (
     auroc_pair_counting,
     pro_points_exhaustive,
 )
+
+
+# ---------------------------------------------------------------------------
+# average ranks
+
+
+def _rank_inputs():
+    rng = np.random.default_rng(3)
+    yield "random", rng.standard_normal(500)
+    yield "tie-heavy", rng.integers(0, 5, 500).astype(np.float64)
+    yield "quantized", np.round(rng.standard_normal(300), 1)
+    yield "all-tied", np.full(7, 2.5)
+    yield "one-element", np.array([4.0])
+    yield "signed-zeros", np.array([0.0, -0.0, 1.0, -0.0, -1.0, 0.0])
+    yield "infinities", np.array([np.inf, 1.0, -np.inf, np.inf, 0.0, -np.inf])
+
+
+@pytest.mark.parametrize("name, x", list(_rank_inputs()),
+                         ids=[name for name, _ in _rank_inputs()])
+def test_average_ranks_match_scipy_rankdata_bytes(name, x):
+    assert average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +79,16 @@ def test_auroc_missing_class_names_it():
         auroc([1.0, 2.0], [0, 0])
     with pytest.raises(MetricError, match="no normal"):
         auroc([1.0, 2.0], [1, 1])
+
+
+def test_auroc_rejects_a_nan_score():
+    with pytest.raises(MetricError, match="NaN"):
+        auroc([0.1, np.nan, 0.3, 0.4], [0, 0, 1, 1])
+
+
+def test_auroc_ranks_infinite_scores():
+    assert auroc([-np.inf, 0.0, 1.0, np.inf], [0, 0, 1, 1]) == 1.0
+    assert auroc([np.inf, np.inf, 1.0, -np.inf], [0, 1, 1, 0]) == 0.625
 
 
 def test_auroc_length_mismatch():
@@ -105,6 +138,16 @@ def test_pixel_auroc_pools_across_samples():
     pooled_labels = np.concatenate([g[v] for g, v in zip(gts, valid)])
     expected = auroc_pair_counting(pooled_scores, pooled_labels)
     assert pixel_auroc(maps, gts, valid) == pytest.approx(expected, abs=1e-12)
+
+
+def test_pixel_auroc_rejects_a_nan_at_a_valid_pixel():
+    m = np.array([[0.0, np.nan], [1.0, 0.5]])
+    gt = np.array([[False, False], [True, False]])
+    v = np.ones((2, 2), dtype=bool)
+    with pytest.raises(MetricError, match="NaN"):
+        pixel_auroc([m], [gt], [v])
+    v[0, 1] = False  # a NaN at an invalid pixel is never ranked
+    assert pixel_auroc([m], [gt], [v]) == 1.0
 
 
 def test_pixel_auroc_ignores_invalid_pixels():
@@ -448,6 +491,6 @@ def test_oracles_use_no_ranks_sorting_or_running_sums():
     names = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(_oracle_tree())
              if isinstance(node, (ast.Attribute, ast.Name))}
-    banned = {"rankdata", "argsort", "sort", "sorted", "searchsorted",
-              "cumsum", "cumulative_sum", "auroc", "pro_curve"}
+    banned = {"rankdata", "average_ranks", "argsort", "sort", "sorted",
+              "searchsorted", "cumsum", "cumulative_sum", "auroc", "pro_curve"}
     assert names & banned == set()
