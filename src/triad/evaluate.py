@@ -14,7 +14,7 @@ from .metrics import (
     aupro,
     aupro_key,
     auroc,
-    pixel_auroc,
+    pool_valid,
     pro_curve,
 )
 from .model import Model
@@ -127,37 +127,35 @@ def evaluate(model: Model, test_samples: list[LabeledSample],
                 maps.append(final)
                 scores.append(image_score)
                 labels.append(s.is_anomalous)
-            gts = [s.gt_pixels for s in samples]
-            valids = [s.mask for s in samples]
+            px_scores, region = pool_valid(maps, [s.gt_pixels for s in samples],
+                                           [s.mask for s in samples])
             entry = {
                 "i_auroc": auroc(scores, labels),
-                "p_auroc": pixel_auroc(maps, gts, valids),
+                "p_auroc": auroc(px_scores, region > 0),
             }
             # one curve per class serves every limit
-            curve = pro_curve(maps, gts, valids) if fpr_limits else None
+            curve = pro_curve(px_scores, region) if fpr_limits else None
             for lim in fpr_limits:
                 entry[aupro_key(lim)] = aupro(curve, lim)
             if oracle_check:
-                _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits)
+                _assert_oracles(entry, px_scores, region, scores, labels, fpr_limits)
             per_class[cname] = entry
     average = {k: float(np.mean([per_class[c][k] for c in classes]))
                for k in next(iter(per_class.values()))}
     return {"classes": per_class, "average": average, "sample_counts": counts}
 
 
-def _assert_oracles(entry, maps, gts, valids, scores, labels, fpr_limits) -> None:
+def _assert_oracles(entry, px_scores, region, scores, labels, fpr_limits) -> None:
     ref_i = auroc_pair_counting(scores, labels)
     if entry["i_auroc"] != ref_i:
         raise OracleMismatchError(
             f"i_auroc {entry['i_auroc']} != pair-counting oracle {ref_i}")
-    px_scores = np.concatenate([m[v] for m, v in zip(maps, valids)])
-    px_labels = np.concatenate([g[v] for g, v in zip(gts, valids)])
-    ref_p = auroc_pair_counting(px_scores, px_labels)
+    ref_p = auroc_pair_counting(px_scores, region > 0)
     if abs(entry["p_auroc"] - ref_p) > _P_AUROC_ORACLE_TOL:
         raise OracleMismatchError(
             f"p_auroc {entry['p_auroc']} != pair-counting oracle {ref_p}")
     # one sweep per class, up to the largest limit, serves every limit
-    points = (pro_points_exhaustive(maps, gts, valids, max(fpr_limits))
+    points = (pro_points_exhaustive(px_scores, region, max(fpr_limits))
               if fpr_limits else [])
     for lim in fpr_limits:
         ref = aupro_exhaustive(points, lim)

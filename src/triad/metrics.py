@@ -1,5 +1,7 @@
 """Evaluation metrics: image/pixel AUROC and AUPRO at configurable FPR limits.
 
+Pixel metrics read the pooled valid pixels of :func:`pool_valid`.
+
 The AUROC uses the rank-based Mann-Whitney statistic with average ranks for
 ties, which is exactly (concordant + 0.5 * tied) / (P * N).  The AUPRO sweeps
 every distinct score value, computes per-region overlap against pooled
@@ -55,35 +57,34 @@ def auroc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def pixel_auroc(maps, gt_masks, valid) -> float:
-    """AUROC over the pooled valid pixels of all samples."""
-    scores, labels = [], []
-    for m, gt, v in zip(maps, gt_masks, valid):
-        v = np.asarray(v, dtype=bool)
-        scores.append(np.asarray(m, dtype=np.float64)[v])
-        labels.append(np.asarray(gt, dtype=bool)[v])
-    return auroc(np.concatenate(scores), np.concatenate(labels))
-
-
 _EIGHT_CONN = np.ones((3, 3), dtype=int)
 
 
-def connected_components(mask: np.ndarray) -> list[np.ndarray]:
-    """8-connectivity components of a boolean mask.
+def pool_valid(maps, gt_masks, valid) -> tuple[np.ndarray, np.ndarray]:
+    """Every valid pixel's score and region id, pooled over the samples.
 
-    Returns one (k, 2) array of (row, col) coordinates per component, ordered
-    by each component's topmost-leftmost pixel: `ndimage.label` numbers the
-    components in the raster order of their first pixels.
+    Pixels come sample by sample, in raster order within each sample.  The
+    region id is 0 for a normal pixel, otherwise the pixel's 8-connected
+    ground-truth region.  Ids run on across samples; within a sample they
+    follow the raster order of each region's first pixel, and a region with
+    no valid pixel gets no id.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise MetricError(f"mask must be 2-D, got shape {mask.shape}")
-    labeled, n = ndimage.label(mask, structure=_EIGHT_CONN)
-    comps = []
-    for i in range(1, n + 1):
-        rows, cols = np.nonzero(labeled == i)
-        comps.append(np.stack([rows, cols], axis=1))
-    return comps
+    scores, regions = [], []
+    n_regions = 0
+    for m, gt, v in zip(maps, gt_masks, valid):
+        gt = np.asarray(gt, dtype=bool)
+        if gt.ndim != 2:
+            raise MetricError(f"mask must be 2-D, got shape {gt.shape}")
+        v = np.asarray(v, dtype=bool)
+        labeled, n = ndimage.label(gt, structure=_EIGHT_CONN)
+        labels = labeled[v]
+        kept = np.unique(labels[labels > 0])
+        renumber = np.zeros(n + 1, dtype=np.intp)
+        renumber[kept] = np.arange(n_regions + 1, n_regions + 1 + kept.size)
+        n_regions += kept.size
+        scores.append(np.asarray(m, dtype=np.float64)[v])
+        regions.append(renumber[labels])
+    return np.concatenate(scores), np.concatenate(regions)
 
 
 def _integrate_to_limit(fprs: np.ndarray, pros: np.ndarray, limit: float) -> float:
@@ -107,30 +108,21 @@ def _integrate_to_limit(fprs: np.ndarray, pros: np.ndarray, limit: float) -> flo
     return np.cumsum(np.concatenate(terms))[-1]
 
 
-def pro_curve(maps, gt_masks, valid) -> tuple[np.ndarray, np.ndarray]:
-    """PRO-vs-FPR curve over every distinct score value, threshold descending.
+def pro_curve(scores: np.ndarray, region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PRO-vs-FPR curve of a :func:`pool_valid` pair over every distinct
+    score value, threshold descending.
 
     The curve starts at (0, 0), the point for an infinitely strict threshold.
     """
-    region_scores: list[np.ndarray] = []
-    neg_scores: list[np.ndarray] = []
-    all_scores: list[np.ndarray] = []
-    for m, gt, v in zip(maps, gt_masks, valid):
-        m = np.asarray(m, dtype=np.float64)
-        gt = np.asarray(gt, dtype=bool)
-        v = np.asarray(v, dtype=bool)
-        for comp in connected_components(gt):
-            keep = v[comp[:, 0], comp[:, 1]]
-            if keep.any():
-                region_scores.append(np.sort(m[comp[keep, 0], comp[keep, 1]]))
-        neg_scores.append(m[v & ~gt])
-        all_scores.append(m[v])
+    # the normal pixels' scores (region 0), then each region's, each ascending
+    runs = np.split(scores[np.argsort(region, kind="stable")],
+                    np.cumsum(np.bincount(region, minlength=1))[:-1])
+    neg, *region_scores = [np.sort(r) for r in runs]
     if not region_scores:
         raise MetricError("aupro undefined: no ground-truth region")
-    neg = np.sort(np.concatenate(neg_scores))
     if neg.size == 0:
         raise MetricError("aupro undefined: no normal valid pixel")
-    thresholds = np.unique(np.concatenate(all_scores))[::-1]
+    thresholds = np.unique(scores)[::-1]
     # count of entries >= t in a sorted ascending array: n - searchsorted(t, 'left')
     fprs = (neg.size - np.searchsorted(neg, thresholds, side="left")) / neg.size
     pros = np.zeros_like(thresholds)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import MetricError, connected_components
+from .metrics import MetricError
 
 
 _PAIR_BLOCK_ROWS = 256  # positives per block: a (256, N) comparison at a time
@@ -38,40 +38,36 @@ def auroc_pair_counting(scores, labels) -> float:
     return (above + 0.5 * tied) / (pos.size * neg.size)
 
 
-def pro_points_exhaustive(maps, gt_masks, valid,
+def pro_points_exhaustive(scores, region,
                           fpr_stop: float = 1.0) -> list[tuple[float, float]]:
     """(FPR, PRO) points threshold by threshold, strictest first, from (0, 0).
 
-    Every distinct valid score is a threshold, and each one rebuilds the
-    prediction of every negative valid pixel and every region pixel from
-    scratch.  The samples' scores are pooled, so grids may differ in size;
-    each ground-truth region (clipped to valid pixels) is a run of the pooled
-    region scores.  Each array operation handles a block of
-    `_SWEEP_BLOCK_ROWS` descending thresholds, one row per threshold.  The
-    sweep ends at the first point whose FPR reaches `fpr_stop`: integrating
-    up to any limit <= `fpr_stop` never reads a later point.
+    Takes the pooled valid pixels of :func:`triad.metrics.pool_valid`.  Every
+    distinct score is a threshold, and each one rebuilds the prediction of
+    every negative pixel and every region pixel from scratch; each region's
+    scores form one run of the gathered region scores.  Each array operation
+    handles a block of `_SWEEP_BLOCK_ROWS` descending thresholds, one row per
+    threshold.  The sweep ends at the first point whose FPR reaches
+    `fpr_stop`: integrating up to any limit <= `fpr_stop` never reads a later
+    point.
     """
-    maps = [np.asarray(m, dtype=np.float64) for m in maps]
-    gt_masks = [np.asarray(g, dtype=bool) for g in gt_masks]
-    valid = [np.asarray(v, dtype=bool) for v in valid]
-    region_scores, starts = [], []  # each region's valid-pixel scores
+    scores = np.asarray(scores, dtype=np.float64)
+    region = np.asarray(region)
+    region_scores, starts = [], []  # each region's scores
     n_region_px = 0
-    for m, gt, v in zip(maps, gt_masks, valid):
-        for comp in connected_components(gt):
-            keep = v[comp[:, 0], comp[:, 1]]
-            if keep.any():
-                region_scores.append(m[comp[keep, 0], comp[keep, 1]])
-                starts.append(n_region_px)
-                n_region_px += region_scores[-1].size
+    for r in range(1, int(region.max(initial=0)) + 1):
+        region_scores.append(scores[region == r])
+        starts.append(n_region_px)
+        n_region_px += region_scores[-1].size
     if not region_scores:
         raise MetricError("aupro undefined: no ground-truth region")
-    neg_scores = np.concatenate([m[v & ~gt] for m, gt, v in zip(maps, gt_masks, valid)])
+    neg_scores = scores[region == 0]
     neg_total = neg_scores.size
     if neg_total == 0:
         raise MetricError("aupro undefined: no normal valid pixel")
     sizes = np.array([r.size for r in region_scores])
     region_scores = np.concatenate(region_scores)
-    thresholds = np.unique(np.concatenate([m[v] for m, v in zip(maps, valid)]))[::-1]
+    thresholds = np.unique(scores)[::-1]
     points = [(0.0, 0.0)]
     for i in range(0, thresholds.size, _SWEEP_BLOCK_ROWS):
         t = thresholds[i:i + _SWEEP_BLOCK_ROWS, None]

@@ -5,11 +5,12 @@ A dataset is a ``manifest.json`` plus one folder of TMF1 files per sample
 ``gt.tmf``), as written by ``triad gen-data``.  Any other feature source
 plugs in by writing the same layout.  Every read is checked: a malformed
 manifest, or a sample id that is not a plain folder name, raises
-`DatasetIOError`, mismatched ranks or grids raise `ShapeMismatchError`,
-a non-finite feature at a valid pixel raises `NonFiniteError`, and a mask or
-ground-truth value other than 0 or 1 raises `BinaryValueError`.  Features at
-invalid pixels are not checked: training and scoring read the valid rows
-only, so missing depth may be stored there as NaN.
+`DatasetIOError`, mismatched ranks or grids, or an empty grid, raise
+`ShapeMismatchError`, a non-finite feature at a valid pixel raises
+`NonFiniteError`, and a mask or ground-truth value other than 0 or 1 raises
+`BinaryValueError`.  Features at invalid pixels are not checked: training
+and scoring read the valid rows only, so missing depth may be stored there
+as NaN.
 """
 
 from __future__ import annotations
@@ -79,9 +80,9 @@ def read_features(sdir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read one sample folder's (H, W, D) feature grids and (H, W) mask.
 
     Raises `ShapeMismatchError` unless both grids are rank 3 and the mask
-    rank 2 over one (H, W) grid, `NonFiniteError` if a feature value at a
-    valid pixel is NaN or infinite, and `BinaryValueError` unless every mask
-    value is 0 or 1.  Values at invalid pixels may be anything, NaN included.
+    rank 2 over one (H, W) grid with H, W >= 1, `NonFiniteError` if a
+    feature value at a valid pixel is NaN or infinite, and `BinaryValueError`
+    unless every mask value is 0 or 1.  Values at invalid pixels may be anything, NaN included.
     """
     sdir = Path(sdir)
     f_rgb = np.asarray(read_tensor(sdir / "f_rgb.tmf"), dtype=np.float64)
@@ -95,6 +96,8 @@ def read_features(sdir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ShapeMismatchError(
             f"{sdir}: grid mismatch ({f_rgb.shape[:2]} vs {f_3d.shape[:2]} "
             f"vs {mask.shape})")
+    if mask.size == 0:
+        raise ShapeMismatchError(f"{sdir}: empty feature grid {mask.shape}")
     if not (np.isfinite(f_rgb[mask]).all() and np.isfinite(f_3d[mask]).all()):
         raise NonFiniteError(f"{sdir}: non-finite feature values at valid pixels")
     return f_rgb, f_3d, mask

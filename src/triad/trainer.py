@@ -101,10 +101,6 @@ def batch_loss(model: Model, batch: list[LabeledSample], w: LossWeights,
 def train_step(batch: list[LabeledSample], model: Model, opt: AdamState,
                cfg: TrainConfig, step: int) -> tuple[float, float, float]:
     """One optimization step; returns (l_total, l_vis, l_text)."""
-    for s in batch:
-        if s.is_anomalous:
-            raise TrainingContractError(
-                f"anomalous sample of class {s.class_name!r} in training batch")
     dropout_rng = np.random.default_rng([cfg.seed, 1, step])
     model.store.zero_grad()
     loss, l_vis, l_text = batch_loss(model, batch, cfg.loss_weights,
@@ -130,18 +126,25 @@ def _adam_update(params: np.ndarray, opt: AdamState, g: np.ndarray,
 
 def train(cfg: TrainConfig, model: Model, train_samples: list[LabeledSample]
           ) -> tuple[dict[str, np.ndarray], list[dict]]:
-    """Run the full loop; returns the final parameter arrays and the loss log."""
+    """Run the full loop; returns the final parameter arrays and the loss log.
+
+    `TrainingContractError` before the first step if any sample of the split
+    is anomalous, whether or not a batch would draw it.
+    """
     cfg.validate()
     if not train_samples:
         raise ValueError("empty training set")
+    for s in train_samples:
+        if s.is_anomalous:
+            raise TrainingContractError(
+                f"anomalous sample of class {s.class_name!r} in the training split")
     opt = AdamState(model)
     shuffle_rng = np.random.default_rng([cfg.seed, 2])
     order: list[int] = []
     loss_log: list[dict] = []
     for step in range(cfg.steps):
-        if len(order) < cfg.batch_size:
-            perm = shuffle_rng.permutation(len(train_samples)).tolist()
-            order.extend(perm)
+        while len(order) < cfg.batch_size:  # successive shuffles fill a batch larger than the split
+            order.extend(shuffle_rng.permutation(len(train_samples)).tolist())
         idx, order = order[:cfg.batch_size], order[cfg.batch_size:]
         batch = [train_samples[i] for i in idx]
         l_total, l_vis, l_text = train_step(batch, model, opt, cfg, step)

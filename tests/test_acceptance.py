@@ -33,7 +33,7 @@ from triad.cli import main as cli_main
 from triad.config import build_run_config, resolve_config
 from triad.evaluate import evaluate
 from triad.gacm import GacmParams, gacm_forward, gacm_fuse
-from triad.metrics import auroc, aupro, pro_curve
+from triad.metrics import auroc, aupro, pool_valid, pro_curve
 from triad.model import Model
 from triad.octa import (
     DEFAULT_STATES,
@@ -259,8 +259,9 @@ def test_criterion_3_metric_oracles(capsys):
             gts.append(gt)
             valids.append(v)
         limit = float(rng.choice([0.3, 0.01, 1.0]))
-        got = aupro(pro_curve(maps, gts, valids), limit)
-        ref = aupro_exhaustive(pro_points_exhaustive(maps, gts, valids, limit), limit)
+        pooled = pool_valid(maps, gts, valids)
+        got = aupro(pro_curve(*pooled), limit)
+        ref = aupro_exhaustive(pro_points_exhaustive(*pooled, limit), limit)
         aupro_max = max(aupro_max, abs(got - ref))
     elapsed = time.time() - t0
     ok = auroc_max == 0.0 and aupro_max <= 1e-6 and elapsed < 120.0

@@ -372,12 +372,22 @@ def _train_nan_at_invalid_pixels(ctx):
     return _train_argv(ctx)
 
 
-def _train_anomalous_sample(ctx):
+def _mark_train_00000_anomalous(ctx):
     path = Path(ctx.data) / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["samples"][0]["is_anomalous"] = True
     path.write_text(json.dumps(manifest))
+
+
+def _train_anomalous_sample(ctx):
+    _mark_train_00000_anomalous(ctx)
     return _train_argv(ctx)
+
+
+def _train_anomalous_sample_in_no_batch(ctx):
+    # one step at the default seed draws train-00003 and train-00002 only
+    _mark_train_00000_anomalous(ctx)
+    return _bad_config("train", {"train": {"steps": 1}})(ctx)
 
 
 def _eval_header_classes_not_a_list(ctx):
@@ -533,6 +543,16 @@ def _infer_nan_at_invalid_pixels(ctx):
     return _infer_argv(ctx, sdir, "--pgm")
 
 
+def _infer_empty_grid(axis, *extra):
+    """`infer` on a copy of a sample cut to no rows (axis 0) or no columns."""
+    def make_argv(ctx):
+        sdir = _sample_dir(ctx.tmp, ctx.data)
+        for name in ("f_rgb.tmf", "f_3d.tmf", "mask.tmf"):
+            write_tensor(sdir / name, np.take(read_tensor(sdir / name), [], axis=axis))
+        return _infer_argv(ctx, sdir, *extra)
+    return make_argv
+
+
 def _infer_overflowing_extents(ctx):
     # extents whose product wraps in int64 to a negative element count
     sdir = _sample_dir(ctx.tmp, ctx.data)
@@ -628,6 +648,8 @@ EXIT_CODE_TABLE = [
     ("train-nan-in-train-sample", _train_nan_sample, EXIT_VALIDATION),
     ("train-nan-at-invalid-pixels", _train_nan_at_invalid_pixels, EXIT_OK),
     ("train-anomalous-train-sample", _train_anomalous_sample, EXIT_VALIDATION),
+    ("train-anomalous-sample-in-no-batch", _train_anomalous_sample_in_no_batch,
+     EXIT_VALIDATION),
     ("train-feature-width-mismatch", _train_width_mismatch, EXIT_VALIDATION),
     ("eval-header-classes-not-a-list", _eval_header_classes_not_a_list, EXIT_CONFIG),
     ("eval-header-negative-seed", _eval_header_negative_seed, EXIT_CONFIG),
@@ -672,6 +694,9 @@ EXIT_CODE_TABLE = [
     ("infer-nan-at-invalid-pixels", _infer_nan_at_invalid_pixels, EXIT_OK),
     ("infer-nan-in-checkpoint-array", _infer_nan_in_checkpoint, EXIT_IO),
     ("infer-overflowing-tmf-extents", _infer_overflowing_extents, EXIT_IO),
+    ("infer-zero-height-grid", _infer_empty_grid(0), EXIT_VALIDATION),
+    ("infer-zero-height-grid-pgm", _infer_empty_grid(0, "--pgm"), EXIT_VALIDATION),
+    ("infer-zero-width-grid-pgm", _infer_empty_grid(1, "--pgm"), EXIT_VALIDATION),
     ("infer-two-classes-without-class-name", _infer_two_classes_without_class_name,
      EXIT_CONFIG),
     ("infer-missing-sample",

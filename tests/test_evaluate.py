@@ -10,7 +10,7 @@ import pytest
 import triad.evaluate as ev
 from triad.config import build_run_config, resolve_config
 from triad.evaluate import OracleMismatchError, evaluate, infer_maps
-from triad.metrics import MetricError, pixel_auroc
+from triad.metrics import MetricError, pool_valid
 from triad.model import Model, ModelDims
 from triad.autograd import NonFiniteError, no_grad
 from triad.scoring import FusionWeights, distance_map, fuse, psi_text
@@ -238,13 +238,13 @@ def test_pooled_scoring_gives_the_serial_bytes(monkeypatch, highres):
     for gate in (0, above_every_sample):  # pooled, then serial
         seen = maps[gate] = []
 
-        def recording_pixel_auroc(class_maps, gts, valids, seen=seen):
+        def recording_pool_valid(class_maps, gts, valids, seen=seen):
             seen.extend(class_maps)
-            return pixel_auroc(class_maps, gts, valids)
+            return pool_valid(class_maps, gts, valids)
 
         with monkeypatch.context() as m:
             pools[gate] = _two_cpus(m, gate)
-            m.setattr(ev, "pixel_auroc", recording_pixel_auroc)
+            m.setattr(ev, "pool_valid", recording_pool_valid)
             reports[gate] = canonical_json(evaluate(model, test, cfg.fusion,
                                                     cfg.fpr_limits, oracle_check=True))
     assert pools == {0: [(2,)], above_every_sample: []}

@@ -1,10 +1,11 @@
-"""Tests for AUROC / pixel AUROC / AUPRO against hand values and brute-force oracles."""
+"""Tests for AUROC / pixel pooling / AUPRO against hand values and brute-force oracles."""
 
 import ast
 import inspect
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.stats import rankdata
 
 import triad.oracles
@@ -15,8 +16,7 @@ from triad.metrics import (
     aupro,
     auroc,
     average_ranks,
-    connected_components,
-    pixel_auroc,
+    pool_valid,
     pro_curve,
 )
 from triad.oracles import (
@@ -110,21 +110,26 @@ def test_auroc_matches_pair_counting_oracle(seed):
 
 
 # ---------------------------------------------------------------------------
-# pixel-level AUROC
+# pixel-level AUROC: `auroc` of the pooled valid pixels
+
+
+def _pixel_auroc(maps, gts, valid):
+    scores, region = pool_valid(maps, gts, valid)
+    return auroc(scores, region > 0)
 
 
 def test_pixel_auroc_perfect_separation():
     m = np.array([[0.0, 1.0], [0.0, 1.0]])
     gt = m > 0.5
     v = np.ones((2, 2), dtype=bool)
-    assert pixel_auroc([m], [gt], [v]) == 1.0
+    assert _pixel_auroc([m], [gt], [v]) == 1.0
 
 
 def test_pixel_auroc_constant_map_is_half():
     m = np.ones((3, 3))
     gt = np.zeros((3, 3), dtype=bool)
     gt[1, 1] = True
-    assert pixel_auroc([m], [gt], [np.ones((3, 3), bool)]) == 0.5
+    assert _pixel_auroc([m], [gt], [np.ones((3, 3), bool)]) == 0.5
 
 
 def test_pixel_auroc_pools_across_samples():
@@ -137,7 +142,7 @@ def test_pixel_auroc_pools_across_samples():
     pooled_scores = np.concatenate([m[v] for m, v in zip(maps, valid)])
     pooled_labels = np.concatenate([g[v] for g, v in zip(gts, valid)])
     expected = auroc_pair_counting(pooled_scores, pooled_labels)
-    assert pixel_auroc(maps, gts, valid) == pytest.approx(expected, abs=1e-12)
+    assert _pixel_auroc(maps, gts, valid) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pixel_auroc_rejects_a_nan_at_a_valid_pixel():
@@ -145,9 +150,9 @@ def test_pixel_auroc_rejects_a_nan_at_a_valid_pixel():
     gt = np.array([[False, False], [True, False]])
     v = np.ones((2, 2), dtype=bool)
     with pytest.raises(MetricError, match="NaN"):
-        pixel_auroc([m], [gt], [v])
+        _pixel_auroc([m], [gt], [v])
     v[0, 1] = False  # a NaN at an invalid pixel is never ranked
-    assert pixel_auroc([m], [gt], [v]) == 1.0
+    assert _pixel_auroc([m], [gt], [v]) == 1.0
 
 
 def test_pixel_auroc_ignores_invalid_pixels():
@@ -155,33 +160,42 @@ def test_pixel_auroc_ignores_invalid_pixels():
     gt = np.array([[False, False], [True, False]])
     v = np.array([[True, False], [True, True]])
     # with the hot invalid pixel dropped, the defect outranks every normal pixel
-    assert pixel_auroc([m], [gt], [v]) == 1.0
+    assert _pixel_auroc([m], [gt], [v]) == 1.0
 
 
 # ---------------------------------------------------------------------------
-# connected components
+# pooling: valid pixels and their 8-connected components as region ids
+
+
+def _regions(gt, valid=None):
+    """The region ids `pool_valid` gives one sample, on its grid (0 elsewhere)."""
+    gt = np.asarray(gt, dtype=bool)
+    valid = np.ones(gt.shape, dtype=bool) if valid is None else valid
+    out = np.zeros(gt.shape, dtype=int)
+    out[valid] = pool_valid([np.zeros(gt.shape)], [gt], [valid])[1]
+    return out
 
 
 def test_components_empty_mask():
-    assert connected_components(np.zeros((3, 3), dtype=bool)) == []
+    scores, region = pool_valid([np.arange(9.0).reshape(3, 3)],
+                                [np.zeros((3, 3), dtype=bool)],
+                                [np.ones((3, 3), dtype=bool)])
+    assert scores.tolist() == list(range(9))
+    assert region.tolist() == [0] * 9
 
 
 def test_components_diagonal_touch_merges():
     m = np.zeros((3, 3), dtype=bool)
     m[0, 0] = m[1, 1] = True
-    comps = connected_components(m)
-    assert len(comps) == 1
-    assert comps[0].shape == (2, 2)
+    assert _regions(m).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
 
 
 def test_components_separate_regions_ordered():
     m = np.zeros((5, 5), dtype=bool)
-    m[4, 0] = True          # bottom-left region
+    m[4, 0] = True            # bottom-left region
     m[0, 3] = m[0, 4] = True  # top-right region comes first (topmost)
-    comps = connected_components(m)
-    assert len(comps) == 2
-    assert comps[0][:, 0].min() == 0
-    assert comps[1][:, 0].min() == 4
+    r = _regions(m)
+    assert r[0, 3] == r[0, 4] == 1 and r[4, 0] == 2
 
 
 def test_components_come_topmost_leftmost_first_on_random_masks():
@@ -189,23 +203,50 @@ def test_components_come_topmost_leftmost_first_on_random_masks():
     for _ in range(300):
         shape = tuple(rng.integers(1, 13, size=2))
         m = rng.random(shape) < rng.uniform(0.1, 0.7)
-        comps = connected_components(m)
-        firsts = [min(map(tuple, c.tolist())) for c in comps]
+        r = _regions(m)
+        assert ((r > 0) == m).all()  # every mask pixel in exactly one region
+        ids = np.unique(r[m])
+        assert ids.tolist() == list(range(1, ids.size + 1))
+        firsts = [tuple(np.argwhere(r == i)[0]) for i in ids]
         assert firsts == sorted(firsts)
-        covered = np.zeros(shape, dtype=int)
-        for c in comps:
-            covered[c[:, 0], c[:, 1]] += 1
-        assert (covered == m).all()  # every mask pixel in exactly one component
 
 
 def test_components_checkerboard_is_one_region():
     m = np.indices((3, 3)).sum(axis=0) % 2 == 0
-    assert len(connected_components(m)) == 1
+    assert set(_regions(m)[m].tolist()) == {1}
 
 
 def test_components_rejects_non_2d():
-    with pytest.raises(MetricError):
-        connected_components(np.zeros((2, 2, 2), dtype=bool))
+    with pytest.raises(MetricError, match="2-D"):
+        pool_valid([np.zeros((2, 2, 2))], [np.zeros((2, 2, 2), dtype=bool)],
+                   [np.ones((2, 2, 2), dtype=bool)])
+
+
+def test_pool_valid_keeps_a_region_split_by_an_invalid_pixel_whole():
+    gt = np.array([[True, True, True]])
+    v = np.array([[True, False, True]])
+    assert _regions(gt, v).tolist() == [[1, 0, 1]]
+
+
+def test_pool_valid_drops_a_region_with_no_valid_pixel():
+    gt = np.array([[True, False, False, True],
+                   [False, False, False, False],
+                   [True, False, False, False]])
+    v = np.ones(gt.shape, dtype=bool)
+    v[0, 3] = False  # the second region (by first pixel) has no valid pixel
+    assert _regions(gt, v).tolist() == [[1, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]]
+
+
+def test_pool_valid_continues_ids_across_samples_in_raster_order():
+    m0, m1 = np.arange(4.0).reshape(2, 2), 10.0 + np.arange(6.0).reshape(2, 3)
+    gt0 = np.array([[True, False], [False, False]])
+    gt1 = np.array([[True, False, True], [False, False, False]])
+    v0 = np.array([[True, True], [False, True]])
+    v1 = np.ones((2, 3), dtype=bool)
+    scores, region = pool_valid([m0, m1], [gt0, gt1], [v0, v1])
+    assert scores.tolist() == [0.0, 1.0, 3.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0]
+    assert region.tolist() == [1, 0, 0, 2, 0, 3, 0, 0, 0]
+    assert scores.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +268,17 @@ def test_aupro_perfect_map_is_one():
     gt[2:4, 2:4] = True
     m = gt.astype(float)
     v = np.ones((6, 6), dtype=bool)
-    assert aupro(pro_curve([m], [gt], [v]), fpr_limit=0.3) == pytest.approx(1.0)
+    curve = pro_curve(*pool_valid([m], [gt], [v]))
+    assert aupro(curve, fpr_limit=0.3) == pytest.approx(1.0)
 
 
 def test_aupro_limit_validation():
     m = np.ones((2, 2))
     gt = np.array([[True, False], [False, False]])
     v = np.ones((2, 2), bool)
-    curve = pro_curve([m], [gt], [v])
-    points = pro_points_exhaustive([m], [gt], [v])
+    pooled = pool_valid([m], [gt], [v])
+    curve = pro_curve(*pooled)
+    points = pro_points_exhaustive(*pooled)
     for limit in (0.0, 1.5):
         with pytest.raises(MetricError):
             aupro(curve, fpr_limit=limit)
@@ -247,15 +290,15 @@ def test_aupro_requires_region_and_negatives():
     m = np.ones((2, 2))
     v = np.ones((2, 2), bool)
     with pytest.raises(MetricError, match="region"):
-        pro_curve([m], [np.zeros((2, 2), bool)], [v])
+        pro_curve(*pool_valid([m], [np.zeros((2, 2), bool)], [v]))
     with pytest.raises(MetricError, match="normal"):
-        pro_curve([m], [np.ones((2, 2), bool)], [v])
+        pro_curve(*pool_valid([m], [np.ones((2, 2), bool)], [v]))
 
 
 def test_pro_curve_starts_at_origin_and_is_monotone():
     rng = np.random.default_rng(2)
     m, gt, v = _one_sample(rng)
-    fprs, pros = pro_curve([m], [gt], [v])
+    fprs, pros = pro_curve(*pool_valid([m], [gt], [v]))
     assert fprs[0] == 0.0 and pros[0] == 0.0
     assert (np.diff(fprs) >= 0).all()
     assert (np.diff(pros) >= -1e-12).all()
@@ -266,9 +309,8 @@ def test_aupro_sample_permutation_invariant():
     rng = np.random.default_rng(3)
     batch = [_one_sample(rng) for _ in range(4)]
     maps, gts, vs = zip(*batch)
-    a = aupro(pro_curve(list(maps), list(gts), list(vs)), fpr_limit=0.3)
-    rev = aupro(pro_curve(list(maps)[::-1], list(gts)[::-1], list(vs)[::-1]),
-                fpr_limit=0.3)
+    a = aupro(pro_curve(*pool_valid(maps, gts, vs)), fpr_limit=0.3)
+    rev = aupro(pro_curve(*pool_valid(maps[::-1], gts[::-1], vs[::-1])), fpr_limit=0.3)
     assert rev == pytest.approx(a, abs=1e-12)
 
 
@@ -283,8 +325,9 @@ def test_aupro_matches_exhaustive_oracle(seed, limit):
     # quantize a few maps to force threshold ties
     if seed % 2:
         maps = [np.round(m, 1) for m in maps]
-    got = aupro(pro_curve(maps, gts, vs), fpr_limit=limit)
-    ref = aupro_exhaustive(pro_points_exhaustive(maps, gts, vs, limit), fpr_limit=limit)
+    pooled = pool_valid(maps, gts, vs)
+    got = aupro(pro_curve(*pooled), fpr_limit=limit)
+    ref = aupro_exhaustive(pro_points_exhaustive(*pooled, limit), fpr_limit=limit)
     assert got == pytest.approx(ref, abs=1e-6)
     assert 0.0 <= got <= 1.0 + 1e-12
 
@@ -332,12 +375,13 @@ def test_exhaustive_sweep_shared_by_limits(seed):
     rng = np.random.default_rng(seed)
     batch = [_one_sample(rng, h=8, w=9) for _ in range(3)]
     maps, gts, vs = map(list, zip(*batch))
-    points = pro_points_exhaustive(maps, gts, vs, 0.3)
+    pooled = pool_valid(maps, gts, vs)
+    points = pro_points_exhaustive(*pooled, 0.3)
     assert points[-1][0] >= 0.3 > points[-2][0]
-    assert len(points) < len(pro_points_exhaustive(maps, gts, vs))
+    assert len(points) < len(pro_points_exhaustive(*pooled))
     for limit in (0.3, 0.01):
         assert (aupro_exhaustive(points, limit)
-                == aupro_exhaustive(pro_points_exhaustive(maps, gts, vs, limit), limit))
+                == aupro_exhaustive(pro_points_exhaustive(*pooled, limit), limit))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +411,9 @@ def _pro_points_loop(maps, gt_masks, valid, fpr_stop=1.0):
     valid = [np.asarray(v, dtype=bool) for v in valid]
     regions = []
     for i, (gt, v) in enumerate(zip(gt_masks, valid)):
-        for comp in connected_components(gt):
-            region = np.zeros_like(gt)
-            region[comp[:, 0], comp[:, 1]] = True
-            region &= v
+        labeled, n = ndimage.label(gt, structure=np.ones((3, 3), dtype=int))
+        for k in range(1, n + 1):
+            region = (labeled == k) & v
             if region.any():
                 regions.append((i, region))
     neg_total = sum(int((v & ~gt).sum()) for gt, v in zip(gt_masks, valid))
@@ -425,7 +468,7 @@ def test_pair_counting_equals_the_pair_loop(seed):
 def test_pro_points_equal_the_threshold_loop(seed, fpr_stop):
     rng = np.random.default_rng(100 + seed)
     maps, gts, valid = _ragged_instance(rng)
-    got = pro_points_exhaustive(maps, gts, valid, fpr_stop)
+    got = pro_points_exhaustive(*pool_valid(maps, gts, valid), fpr_stop)
     assert got == _pro_points_loop(maps, gts, valid, fpr_stop)
     assert all(type(x) is float and type(y) is float for x, y in got)
 
@@ -468,7 +511,7 @@ def test_pro_points_equal_the_loop_at_block_boundaries(n_thresholds, stop_row):
          "end": n_thresholds - 1, "never": None}[stop_row]
     fpr_stop = 2.0 if j is None else full[j + 1][0]
     want = full if j is None else full[:j + 2]
-    got = pro_points_exhaustive(maps, gts, valid, fpr_stop)
+    got = pro_points_exhaustive(*pool_valid(maps, gts, valid), fpr_stop)
     assert got == want == _pro_points_loop(maps, gts, valid, fpr_stop)
     assert all(type(x) is float and type(y) is float for x, y in got)
 
@@ -484,7 +527,7 @@ def test_oracles_import_only_the_shared_metric_helpers():
             from_metrics |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
             assert all(not a.name.startswith("triad") for a in node.names)
-    assert from_metrics == {"MetricError", "connected_components"}
+    assert from_metrics == {"MetricError"}
 
 
 def test_oracles_use_no_ranks_sorting_or_running_sums():
@@ -492,5 +535,6 @@ def test_oracles_use_no_ranks_sorting_or_running_sums():
              for node in ast.walk(_oracle_tree())
              if isinstance(node, (ast.Attribute, ast.Name))}
     banned = {"rankdata", "average_ranks", "argsort", "sort", "sorted",
-              "searchsorted", "cumsum", "cumulative_sum", "auroc", "pro_curve"}
+              "searchsorted", "cumsum", "cumulative_sum", "accumulate", "auroc",
+              "pro_curve"}
     assert names & banned == set()

@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 
+import triad.trainer as trainer_module
+
 from triad.autograd import Tensor, add, gather_rows, mul
 from triad.config import build_run_config, resolve_config
 from triad.losses import LossWeights, text_loss, visual_loss
@@ -54,13 +56,31 @@ def test_train_config_validation():
             TrainConfig(adam_eps=eps).validate()
 
 
-def test_anomalous_sample_in_batch_rejected():
+def test_anomalous_train_sample_rejected_before_step_0():
+    # the split is checked whole: no step, or no batch, need draw the sample
     train_samples, test_samples = _tiny_data()
     anom = next(s for s in test_samples if s.is_anomalous)
     model = _model()
-    cfg = TrainConfig(steps=1, batch_size=2)
-    with pytest.raises(TrainingContractError):
-        train_step([train_samples[0], anom], model, AdamState(model), cfg, 0)
+    before = model.store.flat.copy()
+    for steps in (0, 1):
+        with pytest.raises(TrainingContractError, match="training split"):
+            train(TrainConfig(steps=steps, batch_size=2), model, [*train_samples, anom])
+    assert model.store.flat.tobytes() == before.tobytes()
+
+
+def test_every_batch_holds_batch_size_samples(monkeypatch):
+    # a split smaller than a batch is drawn from successive shuffles
+    train_samples, _ = _tiny_data()
+    sizes = []
+
+    def recording_step(batch, *args):
+        sizes.append(len(batch))
+        return 0.0, 0.0, 0.0
+
+    monkeypatch.setattr(trainer_module, "train_step", recording_step)
+    for n in (1, 3, 6):
+        train(TrainConfig(steps=3, batch_size=8), _model(), train_samples[:n])
+    assert sizes == [8] * 9
 
 
 def test_empty_training_set_rejected():
