@@ -25,9 +25,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from .autograd import GRADCHECK_TOLERANCE, NonFiniteError, no_grad
+from .autograd import GRADCHECK_TOLERANCE, NonFiniteError
 from .config import ConfigError, build_run_config, check_fpr_limits, load_config
-from .evaluate import OracleMismatchError, evaluate, infer_maps
+from .evaluate import OracleMismatchError, evaluate, infer_maps, score_samples
 from .metrics import MetricError
 from .model import Model, ParameterMismatchError
 from .provider import BinaryValueError, DatasetFolderProvider, read_features, save_dataset
@@ -92,20 +92,6 @@ def _check_fits(cfg, samples, split: str) -> None:
                                   f"configured dims {dims}")
 
 
-def _check_scorable(model: Model, cfg, samples) -> None:
-    """Eval's rule for training input: each sample must score to a finite map.
-
-    `infer_maps` raises `NonFiniteError`, without a numpy warning, for a
-    feature value too large for the head; a training step would only filter
-    the non-finite gradients it leads to.
-    """
-    with no_grad():
-        anchors = {c: model.text_anchor(c, mode="eval").data
-                   for c in sorted({s.class_name for s in samples})}
-    for s in samples:
-        infer_maps(model, s, cfg.fusion, anchors[s.class_name])
-
-
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.seed)
     train_samples, test_samples = gen_dataset(cfg.data, cfg.seed)
@@ -120,7 +106,12 @@ def cmd_train(args) -> int:
     train_samples = DatasetFolderProvider(args.data).load_split("train")
     _check_fits(cfg, train_samples, "train")
     model = _build_model(cfg)
-    _check_scorable(model, cfg, train_samples)
+    # eval's rule for training input: `infer_maps` raises `NonFiniteError`,
+    # without a numpy warning, for a feature value too large for the head,
+    # where a training step would only filter the non-finite gradients
+    with score_samples(model, train_samples, cfg.fusion) as scored:
+        for _ in scored:
+            pass
     arrays, loss_log = train(cfg.train, model, train_samples)
     save_checkpoint(args.out, arrays, cfg.train.steps, cfg.seed, cfg.hash, cfg.raw)
     with open(str(args.out) + ".log.jsonl", "w") as f:

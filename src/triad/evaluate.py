@@ -83,41 +83,52 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def score_samples(model: Model, samples: list[LabeledSample], fusion: FusionWeights):
+    """Yields an iterator of each sample's `infer_maps` result, in sample order.
+
+    The eval anchors are built here, one `text_anchor` call per class in
+    sorted class order.  When the samples average at least `_POOL_MIN_ROWS`
+    valid rows and more than one CPU is usable, every sample is queued on a
+    thread pool with one worker per CPU, and leaving the block cancels the
+    samples still queued; the results have the same bytes.
+    """
+    with no_grad():
+        anchors = {c: model.text_anchor(c, mode="eval").data
+                   for c in sorted({s.class_name for s in samples})}
+
+    def score(s: LabeledSample) -> tuple[np.ndarray, float]:
+        return infer_maps(model, s, fusion, anchors[s.class_name])
+
+    workers = _usable_cpus()
+    mean_rows = sum(np.count_nonzero(s.mask) for s in samples) / len(samples)
+    if workers > 1 and mean_rows >= _POOL_MIN_ROWS:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            yield pool.map(score, samples)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        yield map(score, samples)
+
+
 def evaluate(model: Model, test_samples: list[LabeledSample],
              fusion: FusionWeights, fpr_limits: list[float],
              oracle_check: bool = False) -> dict:
     """Per-class and averaged I-AUROC, P-AUROC, and AUPRO at each limit.
 
-    Each sample is scored alone by `infer_maps`.  When the samples average at
-    least `_POOL_MIN_ROWS` valid rows and more than one CPU is usable, they
-    are scored on a thread pool with one worker per CPU, while this thread
-    computes each finished class's metrics; the report has the same bytes.
+    Each sample is scored alone by `infer_maps`, through `score_samples`.
     """
     if not test_samples:
         raise MetricError("no test samples to evaluate")
     classes = sorted({s.class_name for s in test_samples})
-    with no_grad():
-        anchors = {c: model.text_anchor(c, mode="eval").data for c in classes}
     by_class = {c: [s for s in test_samples if s.class_name == c] for c in classes}
-    ordered = [s for c in classes for s in by_class[c]]
-    workers = _usable_cpus()
-    mean_rows = sum(np.count_nonzero(s.mask) for s in test_samples) / len(test_samples)
     per_class: dict[str, dict] = {}
     counts: dict[str, int] = {}
-
-    def score(s: LabeledSample) -> tuple[np.ndarray, float]:
-        return infer_maps(model, s, fusion, anchors[s.class_name])
-
-    with contextlib.ExitStack() as stack:
-        if workers > 1 and mean_rows >= _POOL_MIN_ROWS:
-            pool = ThreadPoolExecutor(workers)
-            # cancels the queued samples if a worker or the metrics raise
-            stack.callback(pool.shutdown, cancel_futures=True)
-            # `map` queues every sample now, in class order, so the workers
-            # score the next class while this thread computes a class's metrics
-            scored = pool.map(score, ordered)
-        else:
-            scored = map(score, ordered)
+    # on the pool every sample is queued at once, in class order, so the
+    # workers score the next class while this thread computes a class's metrics
+    with score_samples(model, [s for c in classes for s in by_class[c]],
+                       fusion) as scored:
         for cname in classes:
             samples = by_class[cname]
             counts[cname] = len(samples)

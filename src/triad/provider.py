@@ -7,7 +7,8 @@ plugs in by writing the same layout.  Every read is checked: a malformed
 manifest, or a sample id that is not a plain folder name, raises
 `DatasetIOError`, mismatched ranks or grids, or an empty grid, raise
 `ShapeMismatchError`, a non-finite feature at a valid pixel raises
-`NonFiniteError`, and a mask or ground-truth value other than 0 or 1 raises
+`NonFiniteError`, and a mask or ground-truth value other than 0 or 1, or an
+`is_anomalous` label that disagrees with ``gt.tmf``, raises
 `BinaryValueError`.  Features at invalid pixels are not checked: training
 and scoring read the valid rows only, so missing depth may be stored there
 as NaN.
@@ -33,7 +34,8 @@ class DatasetIOError(OSError):
 
 
 class BinaryValueError(ValueError):
-    """A mask or ground-truth file holds a value other than 0 or 1."""
+    """A mask or ground-truth file holds a value other than 0 or 1, or a
+    sample's `is_anomalous` label disagrees with its ground truth."""
 
 
 def _read_binary(path) -> np.ndarray:
@@ -134,6 +136,10 @@ class DatasetFolderProvider:
             if gt.shape != mask.shape:
                 raise ShapeMismatchError(f"{sdir / 'gt.tmf'}: ground-truth grid "
                                          f"{gt.shape} != mask grid {mask.shape}")
+            if gt.any() != e["is_anomalous"]:
+                raise BinaryValueError(
+                    f"{sdir}: is_anomalous is {str(e['is_anomalous']).lower()} "
+                    f"but gt.tmf holds {np.count_nonzero(gt)} defect pixels")
             samples.append(LabeledSample(e["class"], f_rgb, f_3d, mask, gt,
                                          e["is_anomalous"]))
         return samples

@@ -90,22 +90,13 @@ class LabeledSample:
     is_anomalous: bool
 
 
-def _full_column_rank_matrix(rng: np.random.Generator, rows: int,
-                             cols: int) -> np.ndarray:
-    for _ in range(100):
-        m = rng.standard_normal((rows, cols))
-        if np.linalg.matrix_rank(m) == min(rows, cols):
-            return m
-    raise RuntimeError("failed to sample a full-rank matrix")
-
-
 def make_class_generator(class_name: str, cfg: SynthConfig,
                          seed_seq: np.random.SeedSequence) -> ClassGenerator:
     rng = np.random.default_rng(seed_seq)
     return ClassGenerator(
         class_name=class_name,
-        a_rgb=_full_column_rank_matrix(rng, cfg.d_rgb, cfg.d_latent),
-        a_3d=_full_column_rank_matrix(rng, cfg.d_3d, cfg.d_latent),
+        a_rgb=rng.standard_normal((cfg.d_rgb, cfg.d_latent)),
+        a_3d=rng.standard_normal((cfg.d_3d, cfg.d_latent)),
         cfg=cfg,
     )
 

@@ -63,8 +63,12 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
 
 
 def read_tensor(path) -> np.ndarray:
+    """The file's one TMF1 block; `TmfFormatError` if any byte follows it."""
+    buf = Path(path).read_bytes()
     try:
-        arr, _ = tensor_from_bytes(Path(path).read_bytes())
+        arr, end = tensor_from_bytes(buf)
+        if end != len(buf):
+            raise TmfFormatError(f"{len(buf) - end} bytes after the TMF1 block")
     except TmfFormatError as exc:
         raise TmfFormatError(f"{path}: {exc}") from None
     return arr
@@ -102,10 +106,12 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], step: int, seed: int,
 
 
 def load_checkpoint(path) -> dict:
-    """Returns {'arrays': {...}, 'step', 'seed', 'config_hash', 'config', 'dtype'}.
+    """Returns {'arrays': {...}, 'step', 'seed', 'config_hash', 'config'}.
 
-    A truncated or corrupt file, or an array holding NaN or Inf, raises
-    `TmfFormatError`.
+    The blocks must follow the header back to back in `names` order, each at
+    its recorded offset and of its recorded shape, the last ending the file.
+    A truncated or corrupt file, a block out of that layout, or an array
+    holding NaN or Inf raises `TmfFormatError`.
     """
     buf = Path(path).read_bytes()
     if len(buf) < 4:
@@ -117,18 +123,25 @@ def load_checkpoint(path) -> dict:
     try:
         header = json.loads(buf[4:base].decode())
         arrays: dict[str, np.ndarray] = {}
+        pos = base
         for name in header["names"]:
-            arr, _ = tensor_from_bytes(buf, base + header["offsets"][name])
+            if base + header["offsets"][name] != pos:
+                raise ValueError(f"array {name!r} is not at its recorded offset")
+            arr, pos = tensor_from_bytes(buf, pos)
+            if list(arr.shape) != header["shapes"][name]:
+                raise ValueError(f"array {name!r} has shape {list(arr.shape)}, "
+                                 f"not its recorded {header['shapes'][name]}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite values in array {name!r}")
             arrays[name] = arr
+        if pos != len(buf):
+            raise ValueError(f"{len(buf) - pos} bytes after the last array")
         return {
             "arrays": arrays,
             "step": header["step"],
             "seed": header["seed"],
             "config_hash": header["config_hash"],
             "config": header["config"],
-            "dtype": header["dtype"],
         }
     except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8 and TMF1 errors
         raise TmfFormatError(f"{path}: corrupt checkpoint: {exc}") from None

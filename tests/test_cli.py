@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 
 from triad.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
-from triad.tmf import load_checkpoint, read_tensor, save_checkpoint, write_tensor
+from triad.tmf import (
+    canonical_json,
+    load_checkpoint,
+    read_tensor,
+    save_checkpoint,
+    write_tensor,
+)
 
 SMALL_OVERRIDES = {
     "data": {"classes": ["bagel"], "n_train": 4, "n_test": 4,
@@ -250,8 +257,10 @@ def test_eval_single_label_test_class_exits_4(tmp_path, data_dir, checkpoint,
     manifest_path = Path(data_dir) / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     for e in manifest["samples"]:
-        if e["split"] == "test":
+        if e["split"] == "test" and e["is_anomalous"]:
             e["is_anomalous"] = False
+            gt = Path(data_dir) / "samples" / e["id"] / "gt.tmf"
+            write_tensor(gt, np.zeros_like(read_tensor(gt)))
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
     code = main(["eval", "--checkpoint", checkpoint, "--data", data_dir,
@@ -372,11 +381,25 @@ def _train_nan_at_invalid_pixels(ctx):
     return _train_argv(ctx)
 
 
+def _set_gt_at_first_valid_pixel(sdir):
+    mask = read_tensor(sdir / "mask.tmf").astype(bool)
+    gt = read_tensor(sdir / "gt.tmf")
+    gt[tuple(np.argwhere(mask)[0])] = 1
+    write_tensor(sdir / "gt.tmf", gt)
+
+
 def _mark_train_00000_anomalous(ctx):
+    # label and ground truth agree, so the load passes and training rejects it
     path = Path(ctx.data) / "manifest.json"
     manifest = json.loads(path.read_text())
     manifest["samples"][0]["is_anomalous"] = True
     path.write_text(json.dumps(manifest))
+    _set_gt_at_first_valid_pixel(Path(ctx.data) / "samples" / "train-00000")
+
+
+def _train_nominal_label_with_defect_pixels(ctx):
+    _set_gt_at_first_valid_pixel(Path(ctx.data) / "samples" / "train-00000")
+    return _train_argv(ctx)
 
 
 def _train_anomalous_sample(ctx):
@@ -510,6 +533,55 @@ def _eval_huge_at_valid_pixel_pooled(ctx):
 def _train_huge_at_valid_pixel(ctx):
     _set_rgb_at_first_pixel(Path(ctx.data) / "samples" / "train-00000", 1e200)
     return _train_argv(ctx)
+
+
+def _train_huge_at_valid_pixel_pooled(ctx):
+    # train's pre-step check on a two-worker pool; a later sample fails there
+    import triad.evaluate as ev
+    ctx.monkeypatch.setattr(ev, "_usable_cpus", lambda: 2)
+    ctx.monkeypatch.setattr(ev, "_POOL_MIN_ROWS", 0)
+    _set_rgb_at_first_pixel(Path(ctx.data) / "samples" / "train-00002", 1e200)
+    return _train_argv(ctx)
+
+
+def _append_bytes(path, extra):
+    path = Path(path)
+    path.write_bytes(path.read_bytes() + extra)
+
+
+def _eval_sample_trailing_bytes(ctx):
+    _append_bytes(Path(ctx.data) / "samples" / "test-00000" / "f_rgb.tmf", bytes(8))
+    return _eval_argv(ctx)
+
+
+def _eval_checkpoint_trailing_bytes(ctx):
+    _append_bytes(ctx.ckpt, bytes(2))
+    return _eval_argv(ctx)
+
+
+def _eval_checkpoint_swapped_offsets(ctx):
+    # two arrays of one shape: only the recorded offsets tell them apart
+    buf = Path(ctx.ckpt).read_bytes()
+    (hlen,) = struct.unpack_from("<I", buf, 0)
+    header = json.loads(buf[4:4 + hlen])
+    offsets = header["offsets"]
+    a, b = "gacm.phi_s.bias", "gacm.phi_g.bias"
+    assert header["shapes"][a] == header["shapes"][b]
+    offsets[a], offsets[b] = offsets[b], offsets[a]
+    text = canonical_json(header)
+    ctx.ckpt = str(ctx.tmp / "swapped.ckpt")
+    Path(ctx.ckpt).write_bytes(struct.pack("<I", len(text)) + text + buf[4 + hlen:])
+    return _eval_argv(ctx)
+
+
+def _relabel_first_test(is_anomalous):
+    """Give the first test entry labelled `not is_anomalous` the label
+    `is_anomalous`, leaving its ground truth as it is."""
+    def edit(samples):
+        e = next(e for e in samples
+                 if e["split"] == "test" and e["is_anomalous"] != is_anomalous)
+        e["is_anomalous"] = is_anomalous
+    return _edit_manifest(edit)
 
 
 def _infer_huge_at_valid_pixel(ctx):
@@ -689,6 +761,17 @@ EXIT_CODE_TABLE = [
     ("eval-huge-at-valid-pixel-pooled", _eval_huge_at_valid_pixel_pooled,
      EXIT_VALIDATION),
     ("train-huge-at-valid-pixel", _train_huge_at_valid_pixel, EXIT_VALIDATION),
+    ("train-huge-at-valid-pixel-pooled", _train_huge_at_valid_pixel_pooled,
+     EXIT_VALIDATION),
+    ("eval-sample-trailing-bytes", _eval_sample_trailing_bytes, EXIT_IO),
+    ("eval-checkpoint-trailing-bytes", _eval_checkpoint_trailing_bytes, EXIT_IO),
+    ("eval-checkpoint-swapped-offsets", _eval_checkpoint_swapped_offsets, EXIT_IO),
+    ("eval-anomalous-sample-labelled-nominal", _relabel_first_test(False),
+     EXIT_VALIDATION),
+    ("eval-nominal-sample-labelled-anomalous", _relabel_first_test(True),
+     EXIT_VALIDATION),
+    ("train-nominal-label-with-defect-pixels", _train_nominal_label_with_defect_pixels,
+     EXIT_VALIDATION),
     ("infer-huge-at-valid-pixel", _infer_huge_at_valid_pixel, EXIT_VALIDATION),
     ("infer-huge-at-invalid-pixel", _infer_huge_at_invalid_pixel, EXIT_OK),
     ("infer-nan-at-invalid-pixels", _infer_nan_at_invalid_pixels, EXIT_OK),
@@ -730,6 +813,29 @@ def test_exit_code_table(tmp_path, cfg_path, data_dir, checkpoint, capsys,
         assert _one_line_error(capsys)
     for want, got in ctx.same_bytes:
         assert got.read_bytes() == want.read_bytes(), got.name
+
+
+def test_train_check_scores_on_the_pool_above_the_gate(tmp_path, cfg_path, data_dir,
+                                                       capsys, monkeypatch):
+    import triad.evaluate as ev
+    built = []
+
+    class CountedPool(ev.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "ThreadPoolExecutor", CountedPool)
+    ctx = SimpleNamespace(tmp=tmp_path, cfg=cfg_path, data=data_dir,
+                          monkeypatch=monkeypatch)
+    argv = _train_huge_at_valid_pixel_pooled(ctx)
+    threads = threading.active_count()
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    assert _one_line_error(capsys)
+    assert built == [(2,)]
+    assert threading.active_count() == threads
+    assert not (tmp_path / "new.ckpt").exists()
 
 
 def test_module_entry_point_maps_errors_to_exit_codes(tmp_path, data_dir,

@@ -17,6 +17,7 @@ from triad.config import (
     resolve_config,
 )
 from triad.provider import (
+    BinaryValueError,
     DatasetFolderProvider,
     DatasetIOError,
     read_features,
@@ -88,6 +89,13 @@ def test_tensor_every_truncation_rejected():
             tensor_from_bytes(buf[:cut])
 
 
+def test_read_tensor_rejects_bytes_after_its_block(tmp_path):
+    p = tmp_path / "t.tmf"
+    p.write_bytes(tensor_bytes(np.ones((2, 3))) + bytes(8))
+    with pytest.raises(TmfFormatError, match="8 bytes after the TMF1 block"):
+        read_tensor(p)
+
+
 def test_tensor_blocks_concatenate():
     a, b = np.ones((2, 2)), np.arange(3.0)
     buf = tensor_bytes(a) + tensor_bytes(b)
@@ -116,7 +124,8 @@ def test_checkpoint_roundtrip_f64(tmp_path):
                     config={"train": {"steps": 17}})
     ck = load_checkpoint(p)
     assert ck["step"] == 17 and ck["seed"] == 7
-    assert ck["config_hash"] == "abc" and ck["dtype"] == "f64"
+    assert ck["config_hash"] == "abc"
+    assert set(ck) == {"arrays", "step", "seed", "config_hash", "config"}
     assert ck["config"] == {"train": {"steps": 17}}
     for name, arr in arrays.items():
         np.testing.assert_array_equal(ck["arrays"][name], arr)
@@ -147,6 +156,50 @@ def test_checkpoint_every_truncation_rejected(tmp_path):
         cut_path.write_bytes(buf[:cut])
         with pytest.raises(TmfFormatError):
             load_checkpoint(cut_path)
+
+
+def _edit_checkpoint(path, edit_header=lambda h: None, tail=b""):
+    """Rewrite a checkpoint with `edit_header` applied and `tail` appended."""
+    buf = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", buf, 0)
+    header = json.loads(buf[4:4 + hlen])
+    edit_header(header)
+    text = canonical_json(header)
+    path.write_bytes(struct.pack("<I", len(text)) + text + buf[4 + hlen:] + tail)
+
+
+def _swap_offsets(h):
+    o = h["offsets"]
+    o["a.bias"], o["b.gate"] = o["b.gate"], o["a.bias"]
+
+
+def _shift_offsets(h):
+    h["offsets"] = {n: o + 1 for n, o in h["offsets"].items()}
+
+
+def _reshape(h):
+    h["shapes"]["a.weight"] = [4, 3]
+
+
+def _swap_names(h):
+    h["names"] = [h["names"][1], h["names"][0], h["names"][2]]
+
+
+@pytest.mark.parametrize("edit,tail,match", [
+    (lambda h: None, b"\x00\x00", "2 bytes after the last array"),
+    (_swap_offsets, b"", "'a.bias' is not at its recorded offset"),
+    (_shift_offsets, b"", "'a.weight' is not at its recorded offset"),
+    (_swap_names, b"", "'a.bias' is not at its recorded offset"),
+    (_reshape, b"", r"'a.weight' has shape \[3, 4\], not its recorded \[4, 3\]"),
+], ids=["trailing-bytes", "swapped-offsets", "shifted-offsets", "names-out-of-order",
+        "recorded-shape-differs"])
+def test_checkpoint_blocks_must_follow_the_header_layout(tmp_path, edit, tail, match):
+    p = tmp_path / "ck.tmf"
+    save_checkpoint(p, _arrays(), step=1, seed=0, config_hash="0", config={})
+    load_checkpoint(p)
+    _edit_checkpoint(p, edit, tail)
+    with pytest.raises(TmfFormatError, match=match):
+        load_checkpoint(p)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +307,22 @@ def test_load_split_checks_ground_truth_grid(tmp_path):
                  np.zeros((3, 3), dtype=np.float32))
     with pytest.raises(ShapeMismatchError, match="gt.tmf"):
         DatasetFolderProvider(tmp_path).load_split("test")
+
+
+@pytest.mark.parametrize("split,is_anomalous", [("train", True), ("test", False)])
+def test_load_split_checks_the_label_against_the_ground_truth(tmp_path, split,
+                                                              is_anomalous):
+    train, test = _tiny_dataset()
+    save_dataset(tmp_path, train, test, config_hash="h", seed=0)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    entry = next(e for e in manifest["samples"]
+                 if e["split"] == split and e["is_anomalous"] != is_anomalous)
+    entry["is_anomalous"] = is_anomalous
+    path.write_text(json.dumps(manifest))
+    prov = DatasetFolderProvider(tmp_path)
+    with pytest.raises(BinaryValueError, match=entry["id"]):
+        prov.load_split(split)
 
 
 @pytest.mark.parametrize("text", ['{"samples": [', "[]", '{"seed": 0}',

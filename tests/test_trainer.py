@@ -408,7 +408,7 @@ def _graph_nodes(root):
     return len(seen)
 
 
-def test_default_config_step_builds_at_most_160_nodes():
+def test_default_config_step_builds_at_most_158_nodes():
     # one graph per batch: the count does not grow with the batch size, each
     # affine map, LayerNorm and cosine is one node, and the valid rows are
     # picked before the forward, not gathered in the loss
@@ -423,7 +423,7 @@ def test_default_config_step_builds_at_most_160_nodes():
     assert _graph_nodes(loss) <= 158
 
 
-def test_gradcheck_objective_builds_at_most_88_nodes(monkeypatch):
+def test_gradcheck_objective_builds_at_most_86_nodes(monkeypatch):
     # every graph node, leaf results included, is made by autograd._make
     import triad.autograd as ag
     import triad.trainer as trainer_mod
