@@ -136,6 +136,8 @@ def no_grad() -> Iterator[None]:
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None] | None) -> Tensor:
     out = Tensor(data)
+    # the only place a backward is attached: a one-input node's backward
+    # therefore runs only for an input that requires grad
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -146,43 +148,38 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
 
+
+def _elementwise(a: Tensor, b: Tensor, data: np.ndarray,
+                 grad_a: Callable[[np.ndarray], np.ndarray],
+                 grad_b: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """A broadcasting two-input node: each input that requires grad takes its
+    rule's gradient summed back to its own shape, `a` before `b`."""
     def bw(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(_unbroadcast(grad_a(g), a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(_unbroadcast(grad_b(g), b.data.shape))
 
     return _make(data, (a, b), bw)
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _elementwise(a, b, a.data + b.data, _identity, _identity)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), bw)
+    return _elementwise(a, b, a.data - b.data, _identity, np.negative)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), bw)
+    return _elementwise(a, b, a.data * b.data,
+                        lambda g: g * b.data, lambda g: g * a.data)
 
 
 def sigmoid(a) -> Tensor:
@@ -194,8 +191,7 @@ def sigmoid(a) -> Tensor:
     np.divide(1.0, data, out=data)
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g * data * (1.0 - data))
+        a._accumulate(g * data * (1.0 - data))
 
     return _make(data, (a,), bw)
 
@@ -210,9 +206,8 @@ def gelu(a) -> Tensor:
     data = a.data * phi
 
     def bw(g):
-        if a.requires_grad:
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-            a._accumulate(g * (phi + a.data * pdf))
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
+        a._accumulate(g * (phi + a.data * pdf))
 
     return _make(data, (a,), bw)
 
@@ -225,15 +220,9 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), bw)
 
@@ -243,8 +232,7 @@ def transpose(a) -> Tensor:
     data = a.data.T
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
+        a._accumulate(g.T)
 
     return _make(data, (a,), bw)
 
@@ -256,10 +244,9 @@ def gather_rows(a, idx: np.ndarray) -> Tensor:
     data = a.data[idx]
 
     def bw(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, idx, g)
-            a._accumulate(acc)
+        acc = np.zeros_like(a.data)
+        np.add.at(acc, idx, g)
+        a._accumulate(acc)
 
     return _make(data, (a,), bw)
 
@@ -270,10 +257,9 @@ def column(a, i: int) -> Tensor:
     data = a.data[:, i:i + 1]
 
     def bw(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[:, i:i + 1] = g
-            a._accumulate(acc)
+        acc = np.zeros_like(a.data)
+        acc[:, i:i + 1] = g
+        a._accumulate(acc)
 
     return _make(data, (a,), bw)
 
@@ -308,9 +294,8 @@ def softmax_row(a) -> Tensor:
     data = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        if a.requires_grad:
-            dot = (g * data).sum(axis=-1, keepdims=True)
-            a._accumulate(data * (g - dot))
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        a._accumulate(data * (g - dot))
 
     return _make(data, (a,), bw)
 
@@ -481,14 +466,9 @@ class GradCheckReport:
     """Outcome of a finite-difference comparison against analytic gradients."""
 
     def __init__(self, per_parameter_errors: dict[str, float]):
-        self.per_parameter_errors = dict(per_parameter_errors)
-        if self.per_parameter_errors:
-            self.worst_parameter = max(self.per_parameter_errors,
-                                       key=self.per_parameter_errors.get)
-            self.max_relative_error = self.per_parameter_errors[self.worst_parameter]
-        else:
-            self.worst_parameter = ""
-            self.max_relative_error = 0.0
+        errors = self.per_parameter_errors = dict(per_parameter_errors)
+        self.worst_parameter = max(errors, key=errors.get, default="")
+        self.max_relative_error = errors.get(self.worst_parameter, 0.0)
 
     def passed(self) -> bool:
         return self.max_relative_error <= GRADCHECK_TOLERANCE

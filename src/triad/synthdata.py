@@ -22,10 +22,6 @@ MVTEC_CLASS_NAMES = [
 DEFAULT_CLASSES = MVTEC_CLASS_NAMES[:4]
 
 
-class AnomalyPlacementError(RuntimeError):
-    pass
-
-
 @dataclass
 class SynthConfig:
     classes: list[str] = field(default_factory=lambda: list(DEFAULT_CLASSES))
@@ -162,9 +158,6 @@ def inject_anomaly(s: LabeledSample, cg: ClassGenerator, seed) -> LabeledSample:
     n_valid = int(s.mask.sum())
     frac = rng.uniform(cfg.area_frac_min, cfg.area_frac_max)
     target_count = max(1, round(frac * n_valid))
-    if target_count > n_valid:
-        raise AnomalyPlacementError(
-            f"anomaly of {target_count} pixels cannot fit in {n_valid} valid pixels")
     blob = _elliptical_blob(rng, s.mask, target_count)
     n_blob = int(blob.sum())
     z_alt = rng.standard_normal((n_blob, cg.a_rgb.shape[1]))

@@ -108,10 +108,11 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], step: int, seed: int,
 def load_checkpoint(path) -> dict:
     """Returns {'arrays': {...}, 'step', 'seed', 'config_hash', 'config'}.
 
-    The blocks must follow the header back to back in `names` order, each at
-    its recorded offset and of its recorded shape, the last ending the file.
-    A truncated or corrupt file, a block out of that layout, or an array
-    holding NaN or Inf raises `TmfFormatError`.
+    The header's dtype must be "f64" and the blocks float64 blocks that follow
+    the header back to back in `names` order, each at its recorded offset and
+    of its recorded shape, the last ending the file.  A truncated or corrupt
+    file, a block out of that layout or of another dtype, or an array holding
+    NaN or Inf raises `TmfFormatError`.
     """
     buf = Path(path).read_bytes()
     if len(buf) < 4:
@@ -122,12 +123,16 @@ def load_checkpoint(path) -> dict:
         raise TmfFormatError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(buf[4:base].decode())
+        if header["dtype"] != "f64":
+            raise ValueError(f"header dtype {header['dtype']!r} is not 'f64'")
         arrays: dict[str, np.ndarray] = {}
         pos = base
         for name in header["names"]:
             if base + header["offsets"][name] != pos:
                 raise ValueError(f"array {name!r} is not at its recorded offset")
             arr, pos = tensor_from_bytes(buf, pos)
+            if arr.dtype != np.float64:
+                raise ValueError(f"array {name!r} is {arr.dtype}, not float64")
             if list(arr.shape) != header["shapes"][name]:
                 raise ValueError(f"array {name!r} has shape {list(arr.shape)}, "
                                  f"not its recorded {header['shapes'][name]}")

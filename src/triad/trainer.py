@@ -186,11 +186,10 @@ def run_gradcheck(seed: int = 0) -> GradCheckReport:
     dims = ModelDims(d_rgb=4, d_3d=6, d_text=8, n_experts=3, top_k=2,
                      dropout_rate=0.0)
     model = Model(dims, seed=seed + 1, catalog=_GRADCHECK_CATALOG)
-    prng = np.random.default_rng(seed + 100)
-    for name, p in model.store.items():
-        p.data += 0.3 * prng.standard_normal(p.data.shape)
-        if name in _GRADCHECK_AMPLIFIED:
-            p.data *= 2.0
+    store, prng = model.store, np.random.default_rng(seed + 100)
+    store.flat += 0.3 * prng.standard_normal(store.flat.size)
+    for name in _GRADCHECK_AMPLIFIED:
+        store.flat[store.slices[name]] *= 2.0
 
     sample_rng = np.random.default_rng(seed + 500)
     mask = np.ones((2, 2), dtype=bool)

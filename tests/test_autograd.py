@@ -11,6 +11,7 @@ from scipy.special import erf
 
 from triad.autograd import (
     DimensionMismatchError,
+    GradCheckReport,
     LinearParams,
     NonFiniteError,
     ParameterStore,
@@ -187,6 +188,71 @@ def test_add_broadcasting_gradients():
     np.testing.assert_array_equal(b.grad, np.full(3, 2.0))
 
 
+# each case: the two operand shapes, then literal numpy reductions that take
+# a (3, 4) gradient to each operand's shape
+_BROADCAST_CASES = {
+    "3x4-with-4": ((3, 4), (4,), lambda x: x, lambda x: x.sum(axis=0)),
+    "3x1-with-1x4": ((3, 1), (1, 4), lambda x: x.sum(axis=1, keepdims=True),
+                     lambda x: x.sum(axis=0, keepdims=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROADCAST_CASES))
+def test_add_sub_mul_broadcast_gradients_equal_numpy_bit_for_bit(case):
+    a_shape, b_shape, to_a, to_b = _BROADCAST_CASES[case]
+    rng = np.random.default_rng(5)
+    x, y, g = (rng.standard_normal(s) for s in (a_shape, b_shape, (3, 4)))
+    for op, ga, gb in ((add, g, g), (sub, g, -g), (mul, g * y, g * x)):
+        a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+        op(a, b)._backward(g)
+        assert a.grad.shape == a_shape and (a.grad == to_a(ga)).all(), op.__name__
+        assert b.grad.shape == b_shape and (b.grad == to_b(gb)).all(), op.__name__
+
+
+def test_add_sub_mul_scalar_operand_and_shared_input_gradients_equal_numpy_bit_for_bit():
+    rng = np.random.default_rng(6)
+    x, g = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    cases = [
+        (lambda t: add(t, 2.5), g), (lambda t: add(2.5, t), g),
+        (lambda t: sub(t, 2.5), g), (lambda t: sub(2.5, t), -g),
+        (lambda t: mul(t, 2.5), g * 2.5), (lambda t: mul(2.5, t), g * 2.5),
+        (lambda t: add(t, t), g + g), (lambda t: sub(t, t), g + -g),
+        (lambda t: mul(t, t), g * x + g * x),
+    ]
+    for i, (build, want) in enumerate(cases):
+        t = Tensor(x, requires_grad=True)
+        build(t)._backward(g)
+        assert t.grad.shape == x.shape and (t.grad == want).all(), i
+
+
+_ONE_INPUT_OPS = {
+    "sigmoid": sigmoid,
+    "gelu": gelu,
+    "softmax_row": softmax_row,
+    "transpose": transpose,
+    "tensor_sum": tensor_sum,
+    "tensor_sum-keepdims": lambda t: tensor_sum(t, keepdims=True),
+    "tensor_sum-axis": lambda t: tensor_sum(t, axis=0),
+    "tensor_sum-axis-keepdims": lambda t: tensor_sum(t, axis=1, keepdims=True),
+    "gather_rows": lambda t: gather_rows(t, np.array([2, 0, 2])),
+    "column": lambda t: column(t, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_INPUT_OPS))
+def test_one_input_op_is_a_leaf_unless_its_input_requires_grad(name):
+    # so a one-input node's backward never runs for an input without grad
+    op = _ONE_INPUT_OPS[name]
+    x = np.random.default_rng(7).standard_normal((3, 4))
+    out = op(Tensor(x))
+    assert out._backward is None and out._parents == () and not out.requires_grad
+    t = Tensor(x, requires_grad=True)
+    out = op(t)
+    assert out.requires_grad and out._parents == (t,)
+    out._backward(np.ones_like(out.data))
+    assert t.grad.shape == x.shape
+
+
 def test_gather_rows_scatters_gradients():
     a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     out = gather_rows(a, np.array([0, 0, 2]))
@@ -299,6 +365,15 @@ def test_every_op_gradcheck(seed):
     report = finite_diff_gradient_check(_linear_objective(build, store, seed + 50),
                                         store)
     assert report.max_relative_error <= 1e-4, report
+
+
+def test_gradcheck_report_worst_parameter():
+    empty = GradCheckReport({})
+    assert empty.worst_parameter == "" and empty.max_relative_error == 0.0
+    assert empty.passed()
+    report = GradCheckReport({"a": 1e-6, "b": 2e-4, "c": 0.0})
+    assert report.worst_parameter == "b" and report.max_relative_error == 2e-4
+    assert not report.passed()
 
 
 def test_parameter_store_rejects_duplicates():

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -19,6 +22,7 @@ from triad.tmf import (
     load_checkpoint,
     read_tensor,
     save_checkpoint,
+    tensor_bytes,
     write_tensor,
 )
 
@@ -559,18 +563,35 @@ def _eval_checkpoint_trailing_bytes(ctx):
     return _eval_argv(ctx)
 
 
-def _eval_checkpoint_swapped_offsets(ctx):
+def _eval_checkpoint_header(edit):
+    """`eval` on a copy of the checkpoint whose header `edit(header)` changed."""
+    def make_argv(ctx):
+        buf = Path(ctx.ckpt).read_bytes()
+        (hlen,) = struct.unpack_from("<I", buf, 0)
+        header = json.loads(buf[4:4 + hlen])
+        edit(header)
+        text = canonical_json(header)
+        ctx.ckpt = str(ctx.tmp / "edited.ckpt")
+        Path(ctx.ckpt).write_bytes(struct.pack("<I", len(text)) + text + buf[4 + hlen:])
+        return _eval_argv(ctx)
+    return make_argv
+
+
+def _swap_bias_offsets(header):
     # two arrays of one shape: only the recorded offsets tell them apart
-    buf = Path(ctx.ckpt).read_bytes()
-    (hlen,) = struct.unpack_from("<I", buf, 0)
-    header = json.loads(buf[4:4 + hlen])
     offsets = header["offsets"]
     a, b = "gacm.phi_s.bias", "gacm.phi_g.bias"
     assert header["shapes"][a] == header["shapes"][b]
     offsets[a], offsets[b] = offsets[b], offsets[a]
-    text = canonical_json(header)
-    ctx.ckpt = str(ctx.tmp / "swapped.ckpt")
-    Path(ctx.ckpt).write_bytes(struct.pack("<I", len(text)) + text + buf[4 + hlen:])
+
+
+def _eval_checkpoint_f32_block(ctx):
+    # the last array as an f32 block of its shape, so every offset still holds
+    arrays = load_checkpoint(ctx.ckpt)["arrays"]
+    last = arrays[list(arrays)[-1]]
+    buf = Path(ctx.ckpt).read_bytes()[:-len(tensor_bytes(last))]
+    ctx.ckpt = str(ctx.tmp / "f32.ckpt")
+    Path(ctx.ckpt).write_bytes(buf + tensor_bytes(last.astype(np.float32)))
     return _eval_argv(ctx)
 
 
@@ -765,7 +786,11 @@ EXIT_CODE_TABLE = [
      EXIT_VALIDATION),
     ("eval-sample-trailing-bytes", _eval_sample_trailing_bytes, EXIT_IO),
     ("eval-checkpoint-trailing-bytes", _eval_checkpoint_trailing_bytes, EXIT_IO),
-    ("eval-checkpoint-swapped-offsets", _eval_checkpoint_swapped_offsets, EXIT_IO),
+    ("eval-checkpoint-swapped-offsets", _eval_checkpoint_header(_swap_bias_offsets),
+     EXIT_IO),
+    ("eval-checkpoint-header-dtype-f16",
+     _eval_checkpoint_header(lambda h: h.update(dtype="f16")), EXIT_IO),
+    ("eval-checkpoint-f32-block", _eval_checkpoint_f32_block, EXIT_IO),
     ("eval-anomalous-sample-labelled-nominal", _relabel_first_test(False),
      EXIT_VALIDATION),
     ("eval-nominal-sample-labelled-anomalous", _relabel_first_test(True),
@@ -788,6 +813,25 @@ EXIT_CODE_TABLE = [
      _bad_config("gradcheck", {"train": {"step_count": 5}}), EXIT_CONFIG),
     ("gradcheck-exceeds-tolerance", _gradcheck_exceeds_tolerance, EXIT_VALIDATION),
 ]
+
+
+# Error classes that no CLI input reaches: config validation and `_check_fits`
+# stop every input that would raise them inside the model.
+_INTERNAL_ERRORS = {"triad.autograd.DimensionMismatchError"}
+
+
+def test_every_error_class_maps_to_an_exit_code():
+    import triad
+    import triad.cli as cli
+    unmapped = set()
+    for info in pkgutil.iter_modules(triad.__path__):
+        module = importlib.import_module(f"triad.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__
+                    and not any(issubclass(cls, types) for types, _, _ in cli._EXIT_CODES)):
+                unmapped.add(f"{module.__name__}.{cls.__qualname__}")
+    assert unmapped == _INTERNAL_ERRORS
 
 
 @pytest.mark.parametrize("make_argv,expected",

@@ -191,14 +191,25 @@ def _swap_names(h):
     (_shift_offsets, b"", "'a.weight' is not at its recorded offset"),
     (_swap_names, b"", "'a.bias' is not at its recorded offset"),
     (_reshape, b"", r"'a.weight' has shape \[3, 4\], not its recorded \[4, 3\]"),
+    (lambda h: h.update(dtype="f16"), b"", "header dtype 'f16' is not 'f64'"),
 ], ids=["trailing-bytes", "swapped-offsets", "shifted-offsets", "names-out-of-order",
-        "recorded-shape-differs"])
+        "recorded-shape-differs", "header-dtype-f16"])
 def test_checkpoint_blocks_must_follow_the_header_layout(tmp_path, edit, tail, match):
     p = tmp_path / "ck.tmf"
     save_checkpoint(p, _arrays(), step=1, seed=0, config_hash="0", config={})
     load_checkpoint(p)
     _edit_checkpoint(p, edit, tail)
     with pytest.raises(TmfFormatError, match=match):
+        load_checkpoint(p)
+
+
+def test_checkpoint_rejects_a_block_that_is_not_f64(tmp_path):
+    p = tmp_path / "ck.tmf"
+    arr = np.arange(6.0).reshape(2, 3)
+    save_checkpoint(p, {"w": arr}, step=1, seed=0, config_hash="0", config={})
+    f64 = tensor_bytes(arr)
+    p.write_bytes(p.read_bytes()[:-len(f64)] + tensor_bytes(arr.astype(np.float32)))
+    with pytest.raises(TmfFormatError, match="array 'w' is float32, not float64"):
         load_checkpoint(p)
 
 

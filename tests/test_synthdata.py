@@ -160,6 +160,18 @@ def test_anomaly_rejects_already_anomalous():
         inject_anomaly(a, cg, 19)
 
 
+def test_anomaly_covering_the_whole_valid_area_stays_inside_it():
+    # the largest validated anomaly on the smallest validated valid area: a
+    # 4x4 grid whose border leaves the centre 2x2
+    cfg = _small_cfg(height=4, width=4, border=1, area_frac_min=1.0, area_frac_max=1.0)
+    _, test = gen_dataset(cfg, seed=3)
+    anomalous = [s for s in test if s.is_anomalous]
+    assert anomalous
+    for s in anomalous:
+        assert int(s.mask.sum()) == 4
+        assert (s.gt_pixels == s.mask).all()
+
+
 def test_anomaly_magnitude_comparable_to_nominal():
     # the replacement latent is variance-matched: inside-blob magnitudes stay
     # within the same order as nominal ones (no giveaway spike)

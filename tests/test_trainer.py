@@ -254,6 +254,32 @@ def test_run_gradcheck_covers_every_parameter_once():
     assert sorted(report.per_parameter_errors) == sorted(model.store.slices)
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_run_gradcheck_perturbation_equals_per_tensor_draws(seed, monkeypatch):
+    built, checked = [], []
+
+    class RecordedModel(Model):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self, self.store.flat.copy()))
+
+    def record(objective, params):
+        checked.append(params.flat.copy())
+        return trainer_module.GradCheckReport({})
+
+    monkeypatch.setattr(trainer_module, "Model", RecordedModel)
+    monkeypatch.setattr(trainer_module, "finite_diff_gradient_check", record)
+    run_gradcheck(seed=seed)
+    (model, initial), = built
+    model.store.flat[:] = initial
+    prng = np.random.default_rng(seed + 100)
+    for name, p in model.store.items():
+        p.data += 0.3 * prng.standard_normal(p.data.shape)
+        if name in trainer_module._GRADCHECK_AMPLIFIED:
+            p.data *= 2.0
+    assert (checked[0] == model.store.flat).all()
+
+
 # ---------------------------------------------------------------------------
 # stacked-batch graph against a per-sample reference
 
